@@ -13,9 +13,9 @@ import repro.sparkstream.MicroBatchEngine
   *
   * A MemoryStream feeds forward-sampled events in arrival-order chunks;
   * `foreachBatch` hands every micro-batch to the MicroBatchEngine, whose
-  * site partitions emit only the protocol's counter-update messages back
-  * to the driver-side coordinator. Prints per-batch communication and the
-  * final model accuracy.
+  * site tasks each return one summary row of their reports to the
+  * driver-side coordinator. Prints per-batch communication and the final
+  * model accuracy.
   */
 object StreamingMLE {
   def main(args: Array[String]): Unit = {

@@ -1,7 +1,5 @@
 package repro.counter
 
-import repro.util.Rng
-
 /** A bank of continuously-tracked distributed counters.
   *
   * `increment(site, c)` is called by site `site` when it observes one unit
@@ -61,16 +59,18 @@ final class Coordinator(
 
   @inline private def idx(site: Int, counter: Int): Int = site * numCounters + counter
 
-  /** One upstream message: site reports its exact local count, tagged with
-    * the inverse probability it used for the send decision.
+  /** `reports` upstream messages from one site for one counter, all sent
+    * with the same inverse probability, the last of them carrying
+    * `localCount`. Folding them at once is exact: each report replaces the
+    * site's term `c̄ + 1/p − 1`, so the updates in between telescope.
     */
-  def receive(site: Int, counter: Int, localCount: Int, invPUsed: Double): Unit = {
+  def receive(site: Int, counter: Int, localCount: Int, invPUsed: Double, reports: Int = 1): Unit = {
     val j = idx(site, counter)
     val before = if (invP(j) == 0.0) 0.0 else lastRep(j) + invP(j) - 1.0
     lastRep(j) = localCount
     invP(j) = invPUsed
     est(counter) += (localCount + invPUsed - 1.0) - before
-    msgs += 1
+    msgs += reports
   }
 
   def estimate(counter: Int): Double = est(counter)
@@ -86,13 +86,13 @@ object Coordinator {
   def theoryScale(k: Int): Double = math.sqrt(2.0 * k)
 }
 
-/** Sequential-driver bank over approximate counters: per-site local counts
+/** Sequential-driver bank over approximate counters: one `Site` per site
   * plus the reporting probability each site currently knows for each
   * counter. The refreshed probability piggybacks on the acknowledgement of
   * each counted upstream message, so a site's `p` can be stale — that only
   * makes it report more often than necessary (conservative), never less
-  * accurately. Coin flips are deterministic in (seed, site, counter,
-  * localCount) so runs are replayable.
+  * accurately. The coins are `Site`'s, shared with the micro-batch engine,
+  * so runs are replayable.
   */
 final class DistCounterBank(
     numCounters: Int,
@@ -103,23 +103,24 @@ final class DistCounterBank(
 ) extends CounterBank {
 
   val coordinator = new Coordinator(numCounters, k, eps, pScale)
-  private val local = new Array[Int](k * numCounters)
+  private val sites = Array.tabulate(k)(new Site(_, numCounters, seed))
   private val pSite = new Array[Double](k * numCounters)
   java.util.Arrays.fill(pSite, 1.0)
 
   override def increment(site: Int, counter: Int): Unit = {
+    require(site >= 0 && site < k, s"site $site outside [0, $k)")
+    val s = sites(site)
     val j = site * numCounters + counter
-    local(j) += 1
     val p = pSite(j)
-    if (p >= 1.0 || Rng.uniform(seed, j.toLong, local(j).toLong) < p) {
-      coordinator.receive(site, counter, local(j), 1.0 / p)
+    if (s.increment(counter, p)) {
+      coordinator.receive(site, counter, s.count(counter), 1.0 / p)
       pSite(j) = coordinator.pFor(counter) // piggybacked ack
     }
   }
 
   override def estimate(counter: Int): Double = coordinator.estimate(counter)
   override def messages: Long = coordinator.messages
-  def localCount(site: Int, counter: Int): Int = local(site * numCounters + counter)
+  def localCount(site: Int, counter: Int): Int = sites(site).count(counter)
 }
 
 object DistCounterBank {

@@ -43,32 +43,31 @@ final class CounterLayout private (
     }
   }
 
-  // Scratch set reused across events when deduplicating shared counters.
-  @transient private lazy val seen = new java.util.HashSet[Integer]()
-
   /** Invoke `inc` exactly once per distinct counter the event touches.
     * In the standard layout every family contributes two distinct counters;
-    * in a shared layout (Naïve Bayes) the shared block is incremented once
+    * in a shared layout (Naïve Bayes) every feature's parent counter is the
+    * root's child counter `A(x₀)`, so the shared block is incremented once
     * per event — Algorithm 4 maintains "only one copy of the counter".
+    * Rejects an assignment that does not fit the network before counting.
     */
-  def foreachUpdate(x: Array[Int])(inc: Int => Unit): Unit =
-    if (!sharedParents) foreachFamily(x)((c, p) => { inc(c); inc(p) })
-    else {
-      seen.clear()
-      foreachFamily(x) { (c, p) =>
-        if (seen.add(c)) inc(c)
-        if (seen.add(p)) inc(p)
-      }
+  def foreachUpdate(x: Array[Int])(inc: Int => Unit): Unit = {
+    require(x.length == net.n, s"assignment has ${x.length} values, expected ${net.n}")
+    var i = 0
+    while (i < net.n) {
+      require(x(i) >= 0 && x(i) < net.card(i), s"x($i) = ${x(i)} outside [0, ${net.card(i)})")
+      i += 1
     }
+    i = 0
+    while (i < net.n) {
+      val u = net.parentCode(i, x)
+      inc(childCounter(i, x(i), u))
+      if (i == 0 || !sharedParents) inc(parentCounter(i, u))
+      i += 1
+    }
+  }
 
-  /** Number of distinct counters one event increments (2n for standard). */
-  def updatesPerEvent: Int =
-    if (!sharedParents) 2 * net.n
-    else {
-      var cnt = 0
-      foreachUpdate(new Array[Int](net.n))(_ => cnt += 1)
-      cnt
-    }
+  /** Number of distinct counters one event increments. */
+  def updatesPerEvent: Int = if (sharedParents) net.n + 1 else 2 * net.n
 }
 
 object CounterLayout {

@@ -3,30 +3,28 @@ package repro.sparkstream
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.bn.{BayesianNetwork, Event}
 import repro.core.{BNModel, EpsilonAllocation}
-import repro.counter.{Coordinator, CounterLayout}
-import repro.util.Rng
+import repro.counter.{Coordinator, CounterLayout, Site}
 
-/** One record emitted by a site partition during a micro-batch.
-  *
-  * `kind = 0`: a counted protocol message — site reports the exact local
-  * count of one counter (with the inverse reporting probability used).
-  * `kind = 1`: end-of-batch state carry for a touched counter (not a
-  * protocol message; in a real deployment this state never leaves the
-  * site — here it rides back to the driver so the next batch can resume).
+/** What one site task returns for one micro-batch: the number of events it
+  * counted and, per counter it touched, the final local count (state the
+  * next batch resumes from, not a protocol message), the last reported
+  * count and the number of reports, which is 0 when it sent none.
   */
-final case class BatchOut(kind: Int, site: Int, counter: Int, localCount: Int,
-                          invP: Double, eventId: Long)
+final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCounts: Array[Int],
+                         reported: Array[Int], reports: Array[Int])
 
 /** Spark micro-batch realization of the continuous monitoring protocol.
   *
-  * Each batch is grouped by site; every site partition replays its events
-  * in arrival order against its carried local-counter state, flipping the
-  * protocol's per-increment coins with the reporting probabilities the
-  * coordinator published at the start of the batch. Only chosen counter
-  * updates come back as messages; the driver plays the coordinator,
-  * folding them (in arrival order) into the global estimates. This is the
-  * "incremental aggregation that minimizes shuffle/communication" mapping:
-  * the rows shuffled to the driver are exactly the protocol's messages.
+  * Each batch is grouped by site; every site task increments its own copy
+  * of its `Site` with the reporting probabilities the coordinator
+  * published at the start of the batch, so its coins are the ones the
+  * sequential bank draws. Within a batch p is fixed, so a site's reports
+  * depend only on its local counts, not on the order of its events, and
+  * each report replaces the last one in the coordinator's estimate. A site
+  * task therefore returns one `SiteRow`, and the driver, playing the
+  * coordinator, folds the rows in site order: per counter, the last report
+  * with the number of reports it stands for. Communication cost is the sum
+  * of those report counts.
   *
   * Compared with the sequential driver, the only semantic difference is
   * that reporting probabilities refresh at batch boundaries instead of on
@@ -43,62 +41,50 @@ final class MicroBatchEngine(
 ) {
 
   val coordinator = new Coordinator(layout.numCounters, k, allocation.epsArray(layout), pScale)
-  private val siteLocal: Array[Array[Int]] = Array.fill(k)(new Array[Int](layout.numCounters))
+  private val sites = Array.tabulate(k)(new Site(_, layout.numCounters, seed))
   private var processed = 0L
 
   def messages: Long = coordinator.messages
   def eventsProcessed: Long = processed
   def model: BNModel = new BNModel(net, layout, coordinator.estimate)
 
-  /** Process one micro-batch of events. Returns messages emitted by it. */
+  /** Process one micro-batch of events. Returns messages emitted by it.
+    * A batch with an event routed to a site outside [0, k) is rejected
+    * whole, before any state changes.
+    */
   def processBatch(spark: SparkSession, batch: Dataset[Event]): Long = {
     import spark.implicits._
     val before = coordinator.messages
-    val pArr = Array.tabulate(layout.numCounters)(coordinator.pFor)
-    val bcP = spark.sparkContext.broadcast(pArr)
-    val bcLocal = spark.sparkContext.broadcast(siteLocal)
+    val p = Array.tabulate(layout.numCounters)(coordinator.pFor)
+    val bcP = spark.sparkContext.broadcast(p)
+    val bcSites = spark.sparkContext.broadcast(sites)
     val bcLayout = spark.sparkContext.broadcast(layout)
-    val localSeed = seed
 
-    val out: Array[BatchOut] = batch
+    val rows = batch
       .groupByKey(_.site)
-      .flatMapGroups { (site: Int, it: Iterator[Event]) =>
-        val lay = bcLayout.value
-        val p = bcP.value
-        val local = bcLocal.value(site).clone()
-        val touched = new java.util.HashSet[Integer]()
-        val msgs = Array.newBuilder[BatchOut]
-        val evs = it.toArray.sortBy(_.id)
-        evs.foreach { e =>
-          lay.foreachUpdate(e.x) { c =>
-            local(c) += 1
-            touched.add(c)
-            val pc = p(c)
-            if (pc >= 1.0 || Rng.uniform(localSeed, (site.toLong << 32) | c.toLong, local(c).toLong) < pc) {
-              msgs += BatchOut(0, site, c, local(c), 1.0 / pc, e.id)
-            }
-          }
-        }
-        val states = touched.iterator()
-        val stateOut = Array.newBuilder[BatchOut]
-        while (states.hasNext) {
-          val c = states.next().intValue()
-          stateOut += BatchOut(1, site, c, local(c), 0.0, -1L)
-        }
-        stateOut += BatchOut(2, site, -1, evs.length, 0.0, -1L) // per-site event tally
-        (msgs.result() ++ stateOut.result()).iterator
+      .mapGroups { (site: Int, events: Iterator[Event]) =>
+        val all = bcSites.value
+        // A site outside [0, k) comes back without state; the driver rejects it.
+        if (site < 0 || site >= all.length) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
+        else MicroBatchEngine.siteTask(bcLayout.value, all(site), bcP.value, events)
       }
       .collect()
+      .sortBy(_.site)
 
-    bcP.destroy(); bcLocal.destroy(); bcLayout.destroy()
+    bcP.destroy(); bcSites.destroy(); bcLayout.destroy()
 
-    // Coordinator folds the protocol messages in arrival order.
-    out.filter(_.kind == 0).sortBy(o => (o.eventId, o.counter)).foreach { o =>
-      coordinator.receive(o.site, o.counter, o.localCount, o.invP)
+    rows.foreach(r => require(r.site >= 0 && r.site < k, s"site ${r.site} outside [0, $k)"))
+    rows.foreach { r =>
+      val s = sites(r.site)
+      var i = 0
+      while (i < r.counters.length) {
+        val c = r.counters(i)
+        s.resume(c, r.localCounts(i))
+        if (r.reports(i) > 0) coordinator.receive(r.site, c, r.reported(i), 1.0 / p(c), r.reports(i))
+        i += 1
+      }
+      processed += r.events
     }
-    // Carry site state for the next batch.
-    out.filter(_.kind == 1).foreach(o => siteLocal(o.site)(o.counter) = o.localCount)
-    processed += out.filter(_.kind == 2).map(_.localCount.toLong).sum
     coordinator.messages - before
   }
 
@@ -118,4 +104,28 @@ object MicroBatchEngine {
   def apply(net: BayesianNetwork, layout: CounterLayout, allocation: EpsilonAllocation,
             k: Int, seed: Long): MicroBatchEngine =
     new MicroBatchEngine(net, layout, allocation, k, seed, Coordinator.theoryScale(k))
+
+  /** One site's batch, run on a copy of its `Site` so that the broadcast
+    * state stays untouched.
+    */
+  private def siteTask(layout: CounterLayout, start: Site, p: Array[Double],
+                       events: Iterator[Event]): SiteRow = {
+    val site = start.copy()
+    val reported = new Array[Int](layout.numCounters)
+    val reports = new Array[Int](layout.numCounters)
+    val touched = Array.newBuilder[Int]
+    var n = 0L
+    events.foreach { e =>
+      layout.foreachUpdate(e.x) { c =>
+        if (site.count(c) == start.count(c)) touched += c
+        if (site.increment(c, p(c))) {
+          reported(c) = site.count(c)
+          reports(c) += 1
+        }
+      }
+      n += 1
+    }
+    val cs = touched.result()
+    SiteRow(start.site, n, cs, cs.map(site.count), cs.map(reported), cs.map(reports))
+  }
 }

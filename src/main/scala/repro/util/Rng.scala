@@ -2,13 +2,13 @@ package repro.util
 
 /** Counter-based deterministic randomness.
   *
-  * The streaming protocol needs per-(site, counter, increment) coin flips
-  * that are reproducible regardless of execution order — the sequential
-  * simulator and the Spark micro-batch driver must be able to replay the
-  * same decisions, and site logic runs inside serialized Spark closures
-  * where carrying mutable RNG state across batches is fragile. A stateless
-  * splitmix64-style hash of the coordinates gives i.i.d.-quality uniforms
-  * with no state at all.
+  * The streaming protocol's one coin, drawn in `repro.counter.Site`, is
+  * `uniform(seed, site·numCounters + counter, localCount)`. It must be
+  * reproducible regardless of execution order — the sequential simulator
+  * and the Spark micro-batch engine draw the same coins, and site logic
+  * runs inside serialized Spark closures where carrying mutable RNG state
+  * across batches is fragile. A stateless splitmix64-style hash of the
+  * coordinates gives i.i.d.-quality uniforms with no state at all.
   */
 object Rng {
 

@@ -68,12 +68,46 @@ class CoordinatorSpec extends AnyFunSuite {
     assert(math.abs(co.pFor(0) - 0.04) < 1e-12)
   }
 
+  test("a report count folds like that many single reports ending at the same count") {
+    val single = coord()
+    val folded = coord()
+    Seq(single, folded).foreach { co => co.receive(0, 0, 5, 1.0); co.receive(1, 0, 3, 1.0) }
+    Seq(9, 14, 20).foreach(n => single.receive(0, 0, n, 4.0))
+    folded.receive(0, 0, 20, 4.0, reports = 3)
+    assert(folded.estimate(0) == single.estimate(0))
+    assert(folded.estimate(0) == 20.0 + 3.0 + 3.0)
+    assert(folded.messages == single.messages)
+    assert(folded.messages == 5L)
+  }
+
   test("rejects non-positive error parameters") {
     intercept[IllegalArgumentException](new Coordinator(1, 2, Array(0.0), 1.0))
   }
 
   test("theoryScale is sqrt(2k)") {
     assert(math.abs(Coordinator.theoryScale(8) - 4.0) < 1e-12)
+  }
+}
+
+class SiteSpec extends AnyFunSuite {
+
+  test("the n-th increment's coin is Rng.uniform(seed, site·numCounters + counter, n) < p") {
+    val site = new Site(2, 10, seed = 7L)
+    (1 to 50).foreach { n =>
+      assert(site.increment(3, 0.4) == (Rng.uniform(7L, 23L, n.toLong) < 0.4), s"increment $n")
+      assert(site.count(3) == n)
+    }
+    assert((1 to 5).forall(_ => site.increment(4, 1.0)), "p = 1 always reports")
+  }
+
+  test("a copy counts on its own, and resume restores a carried count") {
+    val site = new Site(0, 2, seed = 1L)
+    site.increment(0, 1.0)
+    val copy = site.copy()
+    copy.increment(0, 1.0)
+    assert(site.count(0) == 1 && copy.count(0) == 2)
+    site.resume(0, copy.count(0))
+    assert(site.count(0) == 2)
   }
 }
 

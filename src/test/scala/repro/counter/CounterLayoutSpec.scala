@@ -83,6 +83,31 @@ class CounterLayoutSpec extends AnyFunSuite {
     assert(counts.contains(nbLayout.parentCounter(0, 0)))
   }
 
+  test("naiveBayes foreachUpdate visits the root's two counters, then each feature's child counter") {
+    val x = Array(2, 1, 3, 0)
+    val got = Seq.newBuilder[Int]
+    nbLayout.foreachUpdate(x)(got += _)
+    assert(got.result() == Seq(nbLayout.childCounter(0, 2, 0), nbLayout.parentCounter(0, 0)) ++
+      (1 until 4).map(i => nbLayout.childCounter(i, x(i), 2)))
+  }
+
+  test("foreachUpdate rejects an assignment of the wrong length before counting") {
+    var calls = 0
+    val e = intercept[IllegalArgumentException](layout.foreachUpdate(Array(0, 1, 1, 0))(_ => calls += 1))
+    assert(e.getMessage.contains("assignment has 4 values, expected 3"))
+    assert(calls == 0)
+  }
+
+  test("foreachUpdate rejects a value outside its domain before counting") {
+    var calls = 0
+    Seq(Array(0, 1, 2) -> "x(2) = 2 outside [0, 2)", Array(-1, 1, 1) -> "x(0) = -1 outside [0, 2)")
+      .foreach { case (x, msg) =>
+        val e = intercept[IllegalArgumentException](layout.foreachUpdate(x)(_ => calls += 1))
+        assert(e.getMessage.contains(msg))
+      }
+    assert(calls == 0)
+  }
+
   test("naiveBayes updatesPerEvent reflects sharing") {
     assert(nbLayout.updatesPerEvent == 5)
   }

@@ -1,9 +1,10 @@
 package repro.sparkstream
 
+import org.apache.spark.sql.Dataset
 import repro.SparkSpec
-import repro.bn.{ForwardSampler, TestNets}
+import repro.bn.{Event, ForwardSampler, NetworkGenerator, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
-import repro.counter.{CounterLayout, ExactCounterBank}
+import repro.counter.{CounterLayout, DistCounterBank, ExactCounterBank}
 import repro.stream.SequentialDriver
 
 class MicroBatchEngineSpec extends SparkSpec {
@@ -90,5 +91,102 @@ class MicroBatchEngineSpec extends SparkSpec {
     val msgs = engine.processBatch(spark, events.filter(_.id > 100L))
     assert(msgs == 0L)
     assert(engine.eventsProcessed == 0L)
+  }
+
+  private def estimates(e: MicroBatchEngine): Seq[Double] =
+    (0 until layout.numCounters).map(e.coordinator.estimate)
+
+  test("with one site and one-event batches the engine replays the sequential bank bit for bit") {
+    // pScale = ε′ makes p = 1/estimate: probabilistic once a counter's
+    // estimate passes 1, and at est = 0 pFor is exactly the bank's initial
+    // p = 1. With one site, the bank's piggybacked p always equals
+    // the p the coordinator would publish at the next batch start.
+    val alloc = EpsilonAllocation.Baseline(0.9, net.n)
+    val pScale = alloc.nu(0)
+    val events = ForwardSampler.localEvents(net, 50L, 1, seed = 13L).toSeq
+    val bank = new DistCounterBank(layout.numCounters, 1, alloc.epsArray(layout), 14L, pScale)
+    val engine = new MicroBatchEngine(net, layout, alloc, 1, 14L, pScale)
+    events.foreach { e =>
+      layout.foreachUpdate(e.x)(bank.increment(e.site, _))
+      engine.processBatch(spark, batchOf(e))
+      assert(engine.messages == bank.messages, s"event ${e.id}")
+    }
+    assert(engine.messages < layout.updatesPerEvent * 50L / 2, "counters became probabilistic")
+    (0 until layout.numCounters).foreach { c =>
+      assert(engine.coordinator.estimate(c) == bank.estimate(c), s"counter $c")
+    }
+  }
+
+  test("a batch and the same batch repartitioned give identical messages and estimates") {
+    val m = 3000L
+    val events = ForwardSampler.events(spark, net, m, k, seed = 15L)
+    def go(shape: Dataset[Event] => Dataset[Event]): MicroBatchEngine = {
+      val e = MicroBatchEngine(net, layout, EpsilonAllocation.Uniform(0.8, net.n), k, seed = 16L)
+      (0L until m by 1000L).foreach { lo =>
+        e.processBatch(spark, shape(events.filter(ev => ev.id >= lo && ev.id < lo + 1000L)))
+      }
+      e
+    }
+    val plain = go(identity)
+    val shuffled = go(_.repartition(5))
+    assert(plain.messages < layout.updatesPerEvent * m / 2, "counters became probabilistic")
+    assert(shuffled.messages == plain.messages)
+    assert(estimates(shuffled) == estimates(plain))
+  }
+
+  test("Naive-Bayes layout over concurrent site tasks matches exact counts") {
+    val nbNet = NetworkGenerator.naiveBayes("nbtest", 6, classCard = 3,
+      featureCards = Array(2, 3, 4, 2, 3), seed = 17L)
+    val nb = CounterLayout.naiveBayes(nbNet)
+    val m = 4000L
+    val key = "spark.sql.adaptive.coalescePartitions.enabled"
+    val saved = spark.conf.getOption(key)
+    spark.conf.set(key, "false") // keep the site groups in separate tasks
+    try {
+      val engine = MicroBatchEngine(nbNet, nb, EpsilonAllocation.Baseline(1e-6, nbNet.n), k, seed = 18L)
+      engine.run(spark, ForwardSampler.events(spark, nbNet, m, k, seed = 19L), m, numBatches = 2)
+      val ref = new ExactCounterBank(nb.numCounters)
+      SequentialDriver.run(nb, ref, ForwardSampler.localEvents(nbNet, m, k, seed = 19L))
+      assert(engine.messages == nb.updatesPerEvent.toLong * m)
+      (0 until nb.numCounters).foreach { c =>
+        assert(engine.coordinator.estimate(c) == ref.count(c).toDouble, s"counter $c")
+      }
+    } finally saved match {
+      case Some(v) => spark.conf.set(key, v)
+      case None => spark.conf.unset(key)
+    }
+  }
+
+  private def batchOf(events: Event*): Dataset[Event] = {
+    val session = spark
+    import session.implicits._
+    session.createDataset(events)
+  }
+
+  test("rejects a batch with a site outside [0, k), naming the site, before any state changes") {
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 20L)
+    val bad = batchOf(Event(0L, 1, Array(0, 1, 1)), Event(1L, k, Array(1, 2, 0)))
+    val e = intercept[IllegalArgumentException](engine.processBatch(spark, bad))
+    assert(e.getMessage.contains(s"site $k outside [0, $k)"))
+    assert(engine.messages == 0L && engine.eventsProcessed == 0L)
+    assert(engine.processBatch(spark, batchOf(Event(0L, 1, Array(0, 1, 1)))) == layout.updatesPerEvent)
+  }
+
+  /** Messages of an exception and of its causes: a site task's failure
+    * reaches the driver wrapped in Spark's own exception.
+    */
+  private def messages(t: Throwable): String =
+    Iterator.iterate(t)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString("\n")
+
+  test("rejects an event whose assignment has the wrong length") {
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 21L)
+    val e = intercept[Exception](engine.processBatch(spark, batchOf(Event(0L, 0, Array(0, 1)))))
+    assert(messages(e).contains("assignment has 2 values, expected 3"))
+  }
+
+  test("rejects an event with a value outside its variable's domain") {
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 22L)
+    val e = intercept[Exception](engine.processBatch(spark, batchOf(Event(0L, 0, Array(0, 3, 1)))))
+    assert(messages(e).contains("x(1) = 3 outside [0, 3)"))
   }
 }

@@ -1,7 +1,7 @@
 package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bn.{ForwardSampler, TestNets}
+import repro.bn.{Event, ForwardSampler, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
 import repro.counter.{CounterLayout, DistCounterBank, ExactCounterBank}
 
@@ -142,5 +142,25 @@ class SequentialDriverSpec extends AnyFunSuite {
     // for n = 3: eps/(3n) = eps/9 < eps/(16·√3) = eps/27.7 is FALSE — baseline is looser here;
     // the crossover n ≈ 28.4 is covered in EpsilonAllocationSpec. Just sanity-order them.
     assert(base.nu(0) > unif.nu(0))
+  }
+
+  private def rejected(events: Event*): String = {
+    val bank = DistCounterBank(layout.numCounters, k, Array.fill(layout.numCounters)(0.1), 13L)
+    val e = intercept[IllegalArgumentException](SequentialDriver.run(layout, bank, events.iterator))
+    assert(bank.messages == 0L, "no increment of a rejected event reaches the coordinator")
+    e.getMessage
+  }
+
+  test("rejects an event routed to a site outside [0, k), naming the site") {
+    assert(rejected(Event(0L, k, Array(0, 1, 1))).contains(s"site $k outside [0, $k)"))
+    assert(rejected(Event(0L, -1, Array(0, 1, 1))).contains(s"site -1 outside [0, $k)"))
+  }
+
+  test("rejects an assignment of the wrong length") {
+    assert(rejected(Event(0L, 0, Array(0, 1))).contains("assignment has 2 values, expected 3"))
+  }
+
+  test("rejects a value outside its variable's domain") {
+    assert(rejected(Event(0L, 0, Array(0, 3, 1))).contains("x(1) = 3 outside [0, 3)"))
   }
 }
