@@ -10,8 +10,7 @@ import repro.jobs.CommSweep
   */
 class CommSweepBench extends AnyFunSuite {
 
-  private val ms: Seq[Long] = sys.env.getOrElse("REPRO_SWEEP_MS", "10000,50000,250000,1000000,4000000")
-    .split(",").map(_.trim.toLong).toSeq
+  private val ms: Seq[Long] = CommSweep.ms
 
   test("communication vs training points on ALARM (Figure 9 shape)") {
     val rows = CommSweep.sweep(Networks.alarm, ms, BenchConfig.k, BenchConfig.eps,

@@ -1,10 +1,9 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bn.ForwardSampler
-import repro.counter.{Coordinator, CounterLayout, DistCounterBank}
+import repro.core.EpsilonAllocation
+import repro.counter.{Coordinator, CounterLayout}
 import repro.eval.{Networks, Tables}
-import repro.stream.SequentialDriver
 
 /** Figure 11(b): UNIFORM vs NONUNIFORM communication on the semi-synthetic
   * NEW-ALARM network (6 variables widened to cardinality 20). The paper
@@ -27,12 +26,7 @@ class NewAlarmBench extends AnyFunSuite {
   private val k = BenchConfig.k
 
   private def run(scale: Double, m: Long): Map[String, Long] =
-    Tables.allocations(BenchConfig.eps, net).map { alloc =>
-      val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout),
-        BenchConfig.seed, scale)
-      alloc.name -> SequentialDriver.run(layout, bank,
-        ForwardSampler.localEvents(net, m, k, BenchConfig.seed)).last.messages
-    }.toMap
+    Tables.commOnly(net, m, k, BenchConfig.eps, BenchConfig.seed, scale)
 
   private def show(title: String, msgs: Map[String, Long], m: Long): Unit = {
     val exact = layout.updatesPerEvent.toLong * m
@@ -42,17 +36,7 @@ class NewAlarmBench extends AnyFunSuite {
         Seq("baseline", "uniform", "nonuniform").map(a =>
           Seq(a, msgs(a).toString, f"${msgs(a).toDouble / exact}%.3f"))))
     println(f"nonuniform/uniform = ${msgs("nonuniform").toDouble / msgs("uniform")}%.3f " +
-      s"(asymptotic model ${f"$modelRatio%.3f"}; paper ~0.65)")
-  }
-
-  /** Asymptotic cost-model ratio (Σ(JK)^{2/3})^{3/2}-style, both counter kinds. */
-  private def modelRatio: Double = {
-    val jk = (0 until net.n).map(i => net.card(i).toDouble * net.parentCard(i))
-    val ks = (0 until net.n).map(i => net.parentCard(i).toDouble)
-    val uni = 16 * math.sqrt(net.n.toDouble) * (jk.sum + ks.sum)
-    val non = 16 * (math.pow(jk.map(math.pow(_, 2.0 / 3)).sum, 1.5) +
-      math.pow(ks.map(math.pow(_, 2.0 / 3)).sum, 1.5))
-    non / uni
+      s"(asymptotic model ${f"${EpsilonAllocation.modelRatio(net.card, net.parentCard)}%.3f"}; paper ~0.65)")
   }
 
   test("NEW-ALARM calibrated profile: nonuniform beats uniform (Figure 11b shape)") {

@@ -1,30 +1,35 @@
 package repro.jobs
 
 import repro.bn.{BayesianNetwork, ForwardSampler}
-import repro.core.EpsilonAllocation
 import repro.counter.{CounterLayout, DistCounterBank}
 import repro.eval.{Networks, Tables}
 import repro.stream.SequentialDriver
 
 /** Communication cost vs number of training points (Figure 9's shape):
-  * one pass per algorithm over the largest m, with message counts captured
-  * at checkpoints. EXACTMLE grows linearly (2·n·m); the approximate
-  * algorithms grow logarithmically once counters pass their reporting
-  * thresholds.
+  * one pass over the largest m feeds every algorithm's bank, with message
+  * counts captured at checkpoints. EXACTMLE grows linearly (2·n·m); the
+  * approximate algorithms grow logarithmically once counters pass their
+  * reporting thresholds.
   */
 object CommSweep {
+
+  /** Stream lengths of the sweep unless `REPRO_SWEEP_MS` lists others. */
+  val defaultMs: Seq[Long] = Seq(10000L, 50000L, 250000L, 1000000L, 4000000L)
+
+  def ms: Seq[Long] = sys.env.get("REPRO_SWEEP_MS")
+    .map(_.split(",").map(_.trim.toLong).toSeq).getOrElse(defaultMs)
 
   def sweep(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double,
             seed: Long, pScale: Option[Double] = None): Seq[Seq[String]] = {
     val layout = CounterLayout.standard(net)
     val scale = pScale.getOrElse(repro.counter.Coordinator.theoryScale(k))
-    val mMax = ms.max
     val exactRow = Seq("exactmle") ++ ms.map(m => (layout.updatesPerEvent * m).toString)
-    val approxRows = Tables.allocations(eps, net).map { alloc =>
-      val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed, scale)
-      val snaps = SequentialDriver.run(layout, bank,
-        ForwardSampler.localEvents(net, mMax, k, seed), checkpoints = ms)
-      Seq(alloc.name) ++ ms.map(m => snaps.find(_.m == m).get.messages.toString)
+    val allocs = Tables.allocations(eps, net)
+    val banks = allocs.map(a => new DistCounterBank(layout.numCounters, k, a.epsArray(layout), seed, scale))
+    val snaps = SequentialDriver.runAll(layout, banks,
+      ForwardSampler.localEvents(net, ms.max, k, seed), checkpoints = ms)
+    val approxRows = allocs.zip(snaps).map { case (alloc, s) =>
+      Seq(alloc.name) ++ ms.map(m => s.find(_.m == m).get.messages.toString)
     }
     exactRow +: approxRows
   }
@@ -36,8 +41,6 @@ object CommSweep {
       sweep(net, ms, k, eps, seed))
 
   def main(args: Array[String]): Unit = {
-    val ms = sys.env.getOrElse("REPRO_SWEEP_MS", "10000,50000,250000,1000000,5000000")
-      .split(",").map(_.trim.toLong).toSeq
     println(render(Networks.alarm, ms, JobSession.k, JobSession.eps, JobSession.seed))
   }
 }

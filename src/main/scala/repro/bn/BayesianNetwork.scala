@@ -94,10 +94,16 @@ final class BayesianNetwork(
   def truth(i: Int, v: Int, u: Int): Double = cpt(i)(u)(v)
 
   /** Draw one full assignment by ancestral sampling; deterministic in (seed, id). */
-  def sample(seed: Long, id: Long): Array[Int] = {
-    val x = new Array[Int](n)
+  def sample(seed: Long, id: Long): Array[Int] = samplePrefix(seed, id, n)
+
+  /** The first `len` values of `sample(seed, id)`: variable i's coin is
+    * keyed by (seed, id, i) and its parents come before it, so the prefix
+    * needs no later variable.
+    */
+  def samplePrefix(seed: Long, id: Long, len: Int): Array[Int] = {
+    val x = new Array[Int](len)
     var i = 0
-    while (i < n) {
+    while (i < len) {
       val row = cpt(i)(parentCode(i, x))
       val r = Rng.uniform(seed, id, i.toLong)
       var v = 0; var acc = row(0)

@@ -93,4 +93,15 @@ object EpsilonAllocation {
     val b = parentCard.map(k => math.pow(k.toDouble, 2.0 / 3.0)).sum
     math.pow(a, 1.5) + math.pow(b, 1.5)
   }
+
+  /** Asymptotic NONUNIFORM/UNIFORM communication ratio of the cost model
+    * Σ JᵢKᵢ/νᵢ + Σ Kᵢ/μᵢ: NONUNIFORM costs 16·Γ/ε and UNIFORM
+    * 16·√n·(ΣJᵢKᵢ + ΣKᵢ)/ε, so the ratio is Γ / (√n·(ΣJᵢKᵢ + ΣKᵢ)) — 1 when
+    * all families have the same shape, below 1 otherwise.
+    */
+  def modelRatio(card: Array[Int], parentCard: Array[Int]): Double = {
+    val jk = card.indices.map(i => card(i).toDouble * parentCard(i)).sum
+    val ks = parentCard.map(_.toDouble).sum
+    gamma(card, parentCard) / (math.sqrt(card.length.toDouble) * (jk + ks))
+  }
 }

@@ -21,8 +21,12 @@ final class Site private (val site: Int, seed: Long, local: Array[Int]) extends 
 
   def count(counter: Int): Int = local(counter)
 
-  /** Counts one increment; true when the site reports its new local count. */
+  /** Counts one increment; true when the site reports its new local count.
+    * Fails rather than wrap once the local count would pass `Int.MaxValue`.
+    */
   def increment(counter: Int, p: Double): Boolean = {
+    if (local(counter) == Int.MaxValue)
+      throw new ArithmeticException(s"site $site counter $counter: local count overflows Int.MaxValue")
     local(counter) += 1
     p >= 1.0 || Rng.uniform(seed, key + counter, local(counter).toLong) < p
   }

@@ -21,15 +21,17 @@ object TestQueries {
 
   /** Sample `count` conditional test events by forward sampling instances,
     * picking a random variable, and accepting when the ground-truth
-    * conditional probability of the observed family is ≥ `minProb`.
+    * conditional probability of the observed family is ≥ `minProb`. Only
+    * the variables up to the picked one are sampled: its family needs no
+    * later variable.
     */
   def condQueries(net: BayesianNetwork, count: Int, minProb: Double, seed: Long): IndexedSeq[CondQuery] = {
     val out = IndexedSeq.newBuilder[CondQuery]
     var accepted = 0
     var id = 0L
     while (accepted < count) {
-      val x = net.sample(seed ^ 0x7e57aL, id)
       val i = Rng.uniformInt(net.n, seed, 0x7e57bL, id)
+      val x = net.samplePrefix(seed ^ 0x7e57aL, id, i + 1)
       val u = net.parentCode(i, x)
       val p = net.truth(i, x(i), u)
       if (p >= minProb) {

@@ -1,5 +1,7 @@
 package repro.stream
 
+import java.util.concurrent.{ExecutionException, ExecutorService, Executors, Future}
+
 import repro.bn.{BayesianNetwork, Event}
 import repro.core.BNModel
 import repro.counter.{CounterBank, CounterLayout}
@@ -15,34 +17,130 @@ final case class Snapshot(m: Long, messages: Long, estimates: Array[Double]) {
     BNModel.fromArray(net, layout, estimates)
 }
 
-/** Event-by-event continuous-monitoring driver.
+/** Event-by-event continuous-monitoring driver: the one loop that runs
+  * counter banks over a stream.
   *
   * This is exactly the experimental setup of Section 6: k sites and one
   * coordinator; each event arrives at its site, which runs Algorithm 2
-  * (increment the two counters of every family); the bank decides which
+  * (increment the two counters of every family); each bank decides which
   * increments turn into messages. Checkpoints snapshot the coordinator
   * state so accuracy-vs-m curves come from a single pass.
+  *
+  * Several banks (one per allocation and run) share one pass: the caller's
+  * thread pulls each event once and computes its counter ids once, in
+  * chunks, and every bank consumes the chunk as its own task on a small
+  * daemon pool while the next chunk is being read. Chunks end at
+  * checkpoints, and a bank starts a chunk only after every bank has
+  * finished the previous one. Each bank therefore receives exactly the
+  * increments, in exactly the order, of a pass of its own, and its
+  * messages and estimates are the same bit for bit.
   */
 object SequentialDriver {
+
+  private val chunkEvents = 256
+
+  private lazy val pool: ExecutorService =
+    Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors(), { (r: Runnable) =>
+      val t = new Thread(r, "sequential-driver")
+      t.setDaemon(true)
+      t
+    })
+
+  /** Up to `chunkEvents` events as sites and counter ids, `upe` ids per event. */
+  private final class Chunk(upe: Int) {
+    val sites = new Array[Int](chunkEvents)
+    val ids = new Array[Int](chunkEvents * upe)
+    var size = 0
+    var end = 0L
+    var snapshot = false
+  }
 
   /** Process `events` in arrival order; snapshot after each checkpoint
     * (event counts, ascending). Always snapshots the end of the stream if
     * the last checkpoint does not cover it.
     */
   def run(layout: CounterLayout, bank: CounterBank, events: Iterator[Event],
-          checkpoints: Seq[Long] = Seq.empty): Seq[Snapshot] = {
-    val cps = checkpoints.sorted.iterator.buffered
-    val out = Seq.newBuilder[Snapshot]
-    var m = 0L
-    def snap(): Unit =
-      out += Snapshot(m, bank.messages,
-        Array.tabulate(layout.numCounters)(bank.estimate))
-    for (e <- events) {
-      layout.foreachUpdate(e.x)(c => bank.increment(e.site, c))
-      m += 1
-      if (cps.hasNext && cps.head == m) { cps.next(); snap() }
+          checkpoints: Seq[Long] = Seq.empty): Seq[Snapshot] =
+    runAll(layout, Seq(bank), events, checkpoints).head
+
+  /** `run` for every bank over the same single pass of `events`; returns
+    * each bank's snapshots, in the order of `banks`. An exception of a
+    * bank or of the input is rethrown as it was raised, once no bank is
+    * running any more.
+    */
+  def runAll(layout: CounterLayout, banks: Seq[CounterBank], events: Iterator[Event],
+             checkpoints: Seq[Long] = Seq.empty): Seq[Seq[Snapshot]] = {
+    val upe = layout.updatesPerEvent
+    val cps = checkpoints.filter(_ > 0).distinct.sorted.iterator.buffered
+    val covered = if (checkpoints.isEmpty) -1L else checkpoints.max
+    val bs = banks.toIndexedSeq
+    val out = bs.map(_ => Seq.newBuilder[Snapshot])
+
+    def fill(c: Chunk, from: Long): Unit = {
+      val limit = if (cps.hasNext) math.min(chunkEvents.toLong, cps.head - from).toInt else chunkEvents
+      var n = 0
+      var j = 0
+      while (n < limit && events.hasNext) {
+        val e = events.next()
+        c.sites(n) = e.site
+        layout.foreachUpdate(e.x) { id => c.ids(j) = id; j += 1 }
+        n += 1
+      }
+      c.size = n
+      c.end = from + n
+      val atCheckpoint = cps.hasNext && cps.head == c.end
+      if (atCheckpoint) cps.next()
+      c.snapshot = atCheckpoint || (!events.hasNext && covered < c.end)
     }
-    if (checkpoints.isEmpty || checkpoints.max < m) snap()
-    out.result()
+
+    def feed(b: Int, c: Chunk): Unit = {
+      val bank = bs(b)
+      var e = 0
+      var j = 0
+      while (e < c.size) {
+        val site = c.sites(e)
+        val stop = j + upe
+        while (j < stop) { bank.increment(site, c.ids(j)); j += 1 }
+        e += 1
+      }
+      if (c.snapshot)
+        out(b) += Snapshot(c.end, bank.messages, Array.tabulate(layout.numCounters)(bank.estimate))
+    }
+
+    val chunks = Array(new Chunk(upe), new Chunk(upe))
+    var pending = Seq.empty[Future[_]]
+    var m = 0L
+    var cur = 0
+    var more = true
+    try {
+      while (more) {
+        val c = chunks(cur)
+        fill(c, m)
+        m = c.end
+        more = events.hasNext
+        await(pending)
+        pending = bs.indices.map(b => pool.submit((() => feed(b, c)): Runnable))
+        cur = 1 - cur
+      }
+      await(pending)
+    } catch {
+      case t: Throwable =>
+        // A failure of the chunk before comes first in stream order.
+        val earlier = try { await(pending); None } catch { case e: Throwable => Some(e) }
+        throw earlier.filter(_ ne t).getOrElse(t)
+    }
+    out.map(_.result())
+  }
+
+  /** Waits for every task, then rethrows the first failure (in task order)
+    * as the task raised it.
+    */
+  private def await(tasks: Seq[Future[_]]): Unit = {
+    var failure: Throwable = null
+    tasks.foreach { f =>
+      try f.get()
+      catch { case e: ExecutionException => if (failure == null) failure = e.getCause }
+    }
+    if (failure != null) throw failure
   }
 }

@@ -106,6 +106,12 @@ class BayesianNetworkSpec extends AnyFunSuite {
     assert(math.abs(total - 1.0) < 1e-9)
   }
 
+  test("samplePrefix is the prefix of sample") {
+    val net = TestNets.random20
+    for (id <- 0L until 50L; len <- Seq(0, 1, 7, net.n))
+      assert(net.samplePrefix(3L, id, len).sameElements(net.sample(3L, id).take(len)))
+  }
+
   test("sample is deterministic in (seed, id)") {
     assert(chain.sample(5L, 17L).toSeq == chain.sample(5L, 17L).toSeq)
     assert(random20.sample(5L, 17L).toSeq == random20.sample(5L, 17L).toSeq)

@@ -147,4 +147,17 @@ class EpsilonAllocationSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("modelRatio is gamma / (sqrt(n)·(ΣJK + ΣK)): 1 for equal families, below 1 on NEW-ALARM") {
+    assert(math.abs(EpsilonAllocation.modelRatio(Array(3, 3, 3), Array(2, 2, 2)) - 1.0) < 1e-12)
+    val net = Networks.newAlarm
+    val jk = (0 until net.n).map(i => net.card(i).toDouble * net.parentCard(i))
+    val ks = net.parentCard.map(_.toDouble)
+    val uniform = 16 * math.sqrt(net.n.toDouble) * (jk.sum + ks.sum)
+    val nonuniform = 16 * (math.pow(jk.map(math.pow(_, 2.0 / 3)).sum, 1.5) +
+      math.pow(ks.map(math.pow(_, 2.0 / 3)).sum, 1.5))
+    val ratio = EpsilonAllocation.modelRatio(net.card, net.parentCard)
+    assert(math.abs(ratio - nonuniform / uniform) < 1e-12)
+    assert(ratio < 0.7)
+  }
 }

@@ -109,6 +109,14 @@ class SiteSpec extends AnyFunSuite {
     site.resume(0, copy.count(0))
     assert(site.count(0) == 2)
   }
+
+  test("an increment past Int.MaxValue fails, naming the site and counter") {
+    val site = new Site(2, 10, seed = 7L)
+    site.resume(3, Int.MaxValue)
+    val e = intercept[ArithmeticException](site.increment(3, 1.0))
+    assert(e.getMessage.contains("site 2 counter 3"))
+    assert(site.count(3) == Int.MaxValue)
+  }
 }
 
 class DistCounterBankSpec extends AnyFunSuite {

@@ -1,10 +1,11 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bn.{ForwardSampler, TestNets}
+import repro.bn.{BayesianNetwork, ForwardSampler, TestNets}
 import repro.core.BNModel
 import repro.counter.{CounterLayout, ExactCounterBank}
 import repro.stream.SequentialDriver
+import repro.util.Rng
 
 class TestQueriesSpec extends AnyFunSuite {
   private val net = TestNets.chain
@@ -31,6 +32,19 @@ class TestQueriesSpec extends AnyFunSuite {
   test("query generation is deterministic in the seed") {
     assert(TestQueries.condQueries(net, 50, 0.01, 5L) == TestQueries.condQueries(net, 50, 0.01, 5L))
     assert(TestQueries.condQueries(net, 50, 0.01, 5L) != TestQueries.condQueries(net, 50, 0.01, 6L))
+  }
+
+  test("queries equal those drawn from full forward samples") {
+    def reference(net: BayesianNetwork, count: Int, seed: Long): IndexedSeq[CondQuery] =
+      Iterator.from(0).map { id =>
+        val x = net.sample(seed ^ 0x7e57aL, id.toLong)
+        val i = Rng.uniformInt(net.n, seed, 0x7e57bL, id.toLong)
+        val u = net.parentCode(i, x)
+        CondQuery(i, x(i), u, net.truth(i, x(i), u))
+      }.filter(_.truth >= 0.01).take(count).toIndexedSeq
+    for ((net, count) <- Seq(TestNets.chain -> 300, TestNets.collider -> 300, TestNets.random20 -> 300,
+                             Networks.munin -> 200))
+      assert(TestQueries.condQueries(net, count, 0.01, 8L) == reference(net, count, 8L), net.name)
   }
 
   test("classification tests target every variable eventually") {

@@ -1,9 +1,9 @@
 package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bn.{Event, ForwardSampler, TestNets}
+import repro.bn.{BayesianNetwork, Event, ForwardSampler, NetworkGenerator, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
-import repro.counter.{CounterLayout, DistCounterBank, ExactCounterBank}
+import repro.counter.{CounterBank, CounterLayout, DistCounterBank, ExactCounterBank}
 
 class SequentialDriverSpec extends AnyFunSuite {
   private val net = TestNets.chain
@@ -162,5 +162,79 @@ class SequentialDriverSpec extends AnyFunSuite {
 
   test("rejects a value outside its variable's domain") {
     assert(rejected(Event(0L, 0, Array(0, 3, 1))).contains("x(1) = 3 outside [0, 3)"))
+  }
+
+  /** The driver loop of a single bank, written out event by event. */
+  private def reference(layout: CounterLayout, bank: CounterBank, events: Iterator[Event],
+                        checkpoints: Seq[Long]): Seq[Snapshot] = {
+    val out = Seq.newBuilder[Snapshot]
+    var m = 0L
+    def snap(): Unit = out += Snapshot(m, bank.messages, Array.tabulate(layout.numCounters)(bank.estimate))
+    for (e <- events) {
+      layout.foreachUpdate(e.x)(c => bank.increment(e.site, c))
+      m += 1
+      if (checkpoints.contains(m)) snap()
+    }
+    if (checkpoints.isEmpty || checkpoints.max < m) snap()
+    out.result()
+  }
+
+  private def bits(snaps: Seq[Snapshot]): Seq[(Long, Long, Seq[Long])] =
+    snaps.map(s => (s.m, s.messages, s.estimates.toSeq.map(java.lang.Double.doubleToLongBits)))
+
+  /** Three allocations × three protocol seeds at pScale 0.05, plus an exact bank. */
+  private def banks(layout: CounterLayout, allocs: Seq[EpsilonAllocation]): Seq[CounterBank] =
+    new ExactCounterBank(layout.numCounters) +: (for (a <- allocs; r <- 1 to 3) yield
+      new DistCounterBank(layout.numCounters, k, a.epsArray(layout), 100L + r, 0.05))
+
+  private def sameAsSeparateRuns(net: BayesianNetwork, layout: CounterLayout,
+                                 allocs: Seq[EpsilonAllocation], m: Long, checkpoints: Seq[Long]): Unit = {
+    val events = ForwardSampler.localEvents(net, m, k, 21L).toArray
+    val together = SequentialDriver.runAll(layout, banks(layout, allocs), events.iterator, checkpoints)
+    val alone = banks(layout, allocs).map(b => reference(layout, b, events.iterator, checkpoints))
+    val single = banks(layout, allocs).map(b => SequentialDriver.run(layout, b, events.iterator, checkpoints))
+    assert(together.size == 10)
+    together.indices.foreach { b =>
+      assert(bits(together(b)) == bits(alone(b)), s"bank $b differs from its own pass")
+      assert(bits(single(b)) == bits(alone(b)), s"bank $b alone through the driver")
+    }
+    assert(together.map(_.last.messages).distinct.size > 2, "the banks really differ")
+  }
+
+  test("one pass over many banks equals a separate pass per bank, bit for bit (standard layout)") {
+    val net = TestNets.random20
+    sameAsSeparateRuns(net, CounterLayout.standard(net),
+      Seq(EpsilonAllocation.Baseline(0.3, net.n), EpsilonAllocation.Uniform(0.3, net.n),
+        EpsilonAllocation.NonUniform(0.3, net)),
+      m = 3000, checkpoints = Seq(100L, 256L, 1000L, 2999L))
+  }
+
+  test("one pass over many banks equals a separate pass per bank, bit for bit (Naive-Bayes layout)") {
+    val net = NetworkGenerator.naiveBayes("nb", 6, 3, Array(2, 5, 3, 4, 2), seed = 41L)
+    sameAsSeparateRuns(net, CounterLayout.naiveBayes(net),
+      Seq(EpsilonAllocation.NaiveBayes(0.3, net.card), EpsilonAllocation.NaiveBayes(0.6, net.card),
+        EpsilonAllocation.Uniform(0.3, net.n)),
+      m = 1337, checkpoints = Seq(7L, 700L))
+  }
+
+  test("a stream shorter than a chunk, an empty stream and checkpoints past the end") {
+    def ms(m: Long, cps: Seq[Long]): Seq[Seq[Long]] =
+      SequentialDriver.runAll(layout, Seq.fill(2)(new ExactCounterBank(layout.numCounters)),
+        ForwardSampler.localEvents(net, m, k, 22L), cps).map(_.map(_.m))
+    assert(ms(10, Nil) == Seq(Seq(10L), Seq(10L)))
+    assert(ms(0, Nil) == Seq(Seq(0L), Seq(0L)))
+    assert(ms(600, Seq(5L, 300L, 300L, 900L)) == Seq.fill(2)(Seq(5L, 300L)))
+  }
+
+  test("a failure in a later chunk of one of several banks surfaces as the bank raised it") {
+    val good = ForwardSampler.localEvents(net, 700, k, 23L).toSeq
+    def run(bad: Event): Throwable = intercept[IllegalArgumentException] {
+      SequentialDriver.runAll(layout,
+        Seq(new ExactCounterBank(layout.numCounters)) ++ Seq.fill(5)(
+          DistCounterBank(layout.numCounters, k, Array.fill(layout.numCounters)(0.1), 24L)),
+        (good :+ bad).iterator ++ good.iterator)
+    }
+    assert(run(Event(700L, k, Array(0, 1, 1))).getMessage.contains(s"site $k outside [0, $k)"))
+    assert(run(Event(700L, 0, Array(0, 3, 1))).getMessage.contains("x(1) = 3 outside [0, 3)"))
   }
 }
