@@ -2,27 +2,21 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.eval.{DatasetResult, Networks, Tables}
-import repro.jobs.Table2And3
+import repro.jobs.{JobSession, Table2And3}
 
-/** Bench-wide configuration and the shared Table 2/3 result grid.
+/** The shared Table 2/3 result grid of the bench suites.
   *
-  * Defaults reproduce the paper's setting (m = 50K, k = 30, ε = 0.1, 1000
-  * tests; medians over REPRO_RUNS runs). The grid is computed once per JVM
+  * The experiment scale comes from `JobSession`, whose defaults reproduce
+  * the paper's setting (m = 50K, k = 30, ε = 0.1, 1000 tests; medians over
+  * REPRO_RUNS runs). The grid is computed once per JVM
   * and shared by Table2Bench and Table3Bench; `sbt "bench/test"` therefore
   * pays for the expensive runs exactly once.
   */
 object BenchConfig {
-  def m: Long = sys.env.getOrElse("REPRO_M", "50000").toLong
-  def k: Int = sys.env.getOrElse("REPRO_K", "30").toInt
-  def eps: Double = sys.env.getOrElse("REPRO_EPS", "0.1").toDouble
-  def nTests: Int = sys.env.getOrElse("REPRO_TESTS", "1000").toInt
-  def runs: Int = sys.env.getOrElse("REPRO_RUNS", "3").toInt
-  def seed: Long = sys.env.getOrElse("REPRO_SEED", "42").toLong
-  def pScale: Option[Double] = sys.env.get("REPRO_PSCALE").map(_.toDouble)
-
   lazy val grid: Seq[DatasetResult] = Networks.all.map { net =>
     val t0 = System.nanoTime()
-    val r = Tables.runDataset(SparkSpec.shared, net, m, k, eps, seed, nTests, runs, pScale)
+    val r = Tables.runDataset(SparkSpec.shared, net, JobSession.m, JobSession.k, JobSession.eps,
+      JobSession.seed, JobSession.nTests, JobSession.runs, JobSession.pScale)
     Console.err.println(f"[bench] ${net.name} done in ${(System.nanoTime() - t0) / 1e9}%.1f s")
     r
   }

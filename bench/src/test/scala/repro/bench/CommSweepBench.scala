@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.Networks
-import repro.jobs.CommSweep
+import repro.jobs.{CommSweep, JobSession}
 
 /** Figure 9's shape: communication vs stream length on ALARM. EXACTMLE is
   * linear in m; the approximate algorithms turn logarithmic once counters
@@ -13,10 +13,10 @@ class CommSweepBench extends AnyFunSuite {
   private val ms: Seq[Long] = CommSweep.ms
 
   test("communication vs training points on ALARM (Figure 9 shape)") {
-    val rows = CommSweep.sweep(Networks.alarm, ms, BenchConfig.k, BenchConfig.eps,
-      BenchConfig.seed, BenchConfig.pScale)
+    val rows = CommSweep.sweep(Networks.alarm, ms, JobSession.k, JobSession.eps,
+      JobSession.seed, JobSession.pScale)
     println(repro.eval.Tables.render(
-      s"Communication vs m (alarm, k=${BenchConfig.k}, eps=${BenchConfig.eps})",
+      s"Communication vs m (alarm, k=${JobSession.k}, eps=${JobSession.eps})",
       Seq("algorithm") ++ ms.map(m => s"m=$m"), rows))
 
     def row(name: String): Seq[Long] = rows.find(_.head == name).get.tail.map(_.toLong)

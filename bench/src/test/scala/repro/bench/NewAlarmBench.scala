@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.EpsilonAllocation
 import repro.counter.{Coordinator, CounterLayout}
 import repro.eval.{Networks, Tables}
+import repro.jobs.JobSession
 
 /** Figure 11(b): UNIFORM vs NONUNIFORM communication on the semi-synthetic
   * NEW-ALARM network (6 variables widened to cardinality 20). The paper
@@ -23,10 +24,10 @@ class NewAlarmBench extends AnyFunSuite {
   private val m: Long = sys.env.getOrElse("REPRO_NEWALARM_M", "2000000").toLong
   private val net = Networks.newAlarm
   private val layout = CounterLayout.standard(net)
-  private val k = BenchConfig.k
+  private val k = JobSession.k
 
   private def run(scale: Double, m: Long): Map[String, Long] =
-    Tables.commOnly(net, m, k, BenchConfig.eps, BenchConfig.seed, scale)
+    Tables.commOnly(net, m, k, JobSession.eps, JobSession.seed, scale)
 
   private def show(title: String, msgs: Map[String, Long], m: Long): Unit = {
     val exact = layout.updatesPerEvent.toLong * m

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.jobs.Table2And3
+import repro.jobs.{JobSession, Table2And3}
 
 /** Paper Table 3: communication cost (messages) to learn the classifier.
   *
@@ -17,7 +17,7 @@ class Table3Bench extends AnyFunSuite {
     println(Table2And3.renderTable3(grid))
     println(Table2And3.renderErrors(grid))
     for (r <- grid) {
-      if (BenchConfig.m == 50000L) {
+      if (JobSession.m == 50000L) {
         assert(r("exactmle").messages == BenchConfig.paperComm(r.dataset).head,
           s"${r.dataset} exactmle should equal the paper's 2·n·m")
       }
@@ -36,8 +36,8 @@ class Table3Bench extends AnyFunSuite {
     // Same grid, counters in the probabilistic regime the paper's
     // implementation operates in (communication only; see EXPERIMENTS.md).
     val grids = repro.eval.Networks.all.map { net =>
-      net.name -> repro.eval.Tables.commOnly(net, BenchConfig.m, BenchConfig.k,
-        BenchConfig.eps, BenchConfig.seed, pScale = 0.05)
+      net.name -> repro.eval.Tables.commOnly(net, JobSession.m, JobSession.k,
+        JobSession.eps, JobSession.seed, pScale = 0.05)
     }.toMap
     val rows = repro.eval.Networks.all.flatMap { net =>
       Seq(
@@ -58,7 +58,7 @@ class Table3Bench extends AnyFunSuite {
     // counters trade the Lemma 4 variance bound for communication, so the
     // error vs the exact MLE grows — report it next to the savings.
     val acc = repro.eval.Tables.runDataset(repro.SparkSpec.shared, repro.eval.Networks.alarm,
-      BenchConfig.m, BenchConfig.k, BenchConfig.eps, BenchConfig.seed,
+      JobSession.m, JobSession.k, JobSession.eps, JobSession.seed,
       nTests = 500, runs = 1, pScale = Some(0.05))
     println(repro.eval.Tables.render(
       "Calibrated-profile accuracy on ALARM (mean relative error of test events)",

@@ -34,13 +34,14 @@ object CommSweep {
     exactRow +: approxRows
   }
 
-  def render(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long): String =
+  def render(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long,
+             pScale: Option[Double]): String =
     Tables.render(
       s"Communication cost vs training points (${net.name}, k=$k, eps=$eps) — Figure 9 shape",
       Seq("algorithm") ++ ms.map(m => s"m=$m"),
-      sweep(net, ms, k, eps, seed))
+      sweep(net, ms, k, eps, seed, pScale))
 
   def main(args: Array[String]): Unit = {
-    println(render(Networks.alarm, ms, JobSession.k, JobSession.eps, JobSession.seed))
+    println(render(Networks.alarm, ms, JobSession.k, JobSession.eps, JobSession.seed, JobSession.pScale))
   }
 }

@@ -19,4 +19,6 @@ object JobSession {
   def nTests: Int = sys.env.getOrElse("REPRO_TESTS", "1000").toInt
   def runs: Int = sys.env.getOrElse("REPRO_RUNS", "3").toInt
   def seed: Long = sys.env.getOrElse("REPRO_SEED", "42").toLong
+  /** Counter reporting-probability scale; None = the theory's √(2k). */
+  def pScale: Option[Double] = sys.env.get("REPRO_PSCALE").map(_.toDouble)
 }

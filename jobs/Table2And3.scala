@@ -28,7 +28,7 @@ object Table2And3 {
   def runAll(spark: SparkSession): Seq[DatasetResult] =
     Networks.all.map { net =>
       val r = Tables.runDataset(spark, net, JobSession.m, JobSession.k, JobSession.eps,
-        JobSession.seed, JobSession.nTests, JobSession.runs)
+        JobSession.seed, JobSession.nTests, JobSession.runs, JobSession.pScale)
       Console.err.println(s"[tables] finished ${net.name}")
       r
     }

@@ -1,60 +1,35 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.bn.{BayesianNetwork, Event}
 import repro.counter.CounterLayout
-
-/** One family observation: variable `i` took value `v` while its parents
-  * were in configuration `u` (mixed-radix encoded).
-  */
-final case class FamilyRow(i: Int, v: Int, u: Int)
 
 /** Exact sufficient statistics of a Bayesian network on Spark.
   *
   * The MLE needs, for every variable, the counts Fᵢ(xᵢ, u) and Fᵢ(u)
-  * (Lemma 2). On Spark this is one wide aggregation: explode each event
-  * into its n family rows and `groupBy(i, v, u).count()`. Tests verify the
-  * result against DuckDB via `repro.Oracle`.
+  * (Lemma 2); these are the exact values of the layout's counters
+  * (Lemma 5). On Spark this is one dense aggregation: every partition
+  * counts its events into an array of `layout.numCounters` longs through
+  * `CounterLayout.foreachUpdate`, the same update every counter bank
+  * receives, and the arrays are summed in a tree. Tests verify the counts
+  * against DuckDB via `repro.Oracle` and against `ExactCounterBank`.
   */
 object SuffStats {
 
-  /** Explode events into family rows (n rows per event). */
-  def familyRows(spark: SparkSession, net: BayesianNetwork, events: Dataset[Event]): Dataset[FamilyRow] = {
-    import spark.implicits._
-    events.flatMap { e =>
-      (0 until net.n).map(i => FamilyRow(i, e.x(i), net.parentCode(i, e.x)))
-    }
-  }
-
-  /** Family counts: columns (i, v, u, cnt) — the exact Fᵢ(xᵢ, u). */
-  def familyCounts(spark: SparkSession, net: BayesianNetwork, events: Dataset[Event]): DataFrame =
-    familyRows(spark, net, events).groupBy("i", "v", "u").agg(count(lit(1)).as("cnt"))
-
-  /** Densify the family counts into a counter-estimate array for `layout`:
-    * child counters get Fᵢ(xᵢ, u); parent counters get Fᵢ(u) = Σᵥ Fᵢ(v, u).
-    * (For a shared-parent layout the parent block is written once per
-    * contributing variable with the same totals, so the result is still
-    * the event count, not a multiple of it.)
-    */
-  def toEstimates(layout: CounterLayout, counts: Array[(Int, Int, Int, Long)]): Array[Double] = {
-    val est = new Array[Double](layout.numCounters)
-    // Child counters first.
-    counts.foreach { case (i, v, u, c) => est(layout.childCounter(i, v, u)) += c }
-    // Parent counters from per-(i, u) sums — assignment, not +=, so shared
-    // blocks (Naïve Bayes) are not multiply counted.
-    val parentSums = counts.groupBy { case (i, _, u, _) => (i, u) }
-      .map { case ((i, u), rows) => (i, u, rows.map(_._4).sum) }
-    parentSums.foreach { case (i, u, c) => est(layout.parentCounter(i, u)) = c.toDouble }
-    est
+  /** Exact value of every counter of `layout` over `events`. */
+  def exactCounts(spark: SparkSession, layout: CounterLayout, events: Dataset[Event]): Array[Long] = {
+    val size = layout.numCounters
+    events.rdd.treeAggregate(new Array[Long](size))(
+      (acc, e) => { layout.foreachUpdate(e.x)(c => acc(c) += 1); acc },
+      (a, b) => {
+        var c = 0
+        while (c < size) { a(c) += b(c); c += 1 }
+        a
+      })
   }
 
   /** Exact-MLE model computed with Spark aggregation. */
   def exactModel(spark: SparkSession, net: BayesianNetwork, layout: CounterLayout,
-                 events: Dataset[Event]): BNModel = {
-    val rows = familyCounts(spark, net, events)
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getInt(2), r.getLong(3)))
-    BNModel.fromArray(net, layout, toEstimates(layout, rows))
-  }
+                 events: Dataset[Event]): BNModel =
+    BNModel.fromArray(net, layout, exactCounts(spark, layout, events).map(_.toDouble))
 }

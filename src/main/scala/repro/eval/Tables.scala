@@ -1,5 +1,9 @@
 package repro.eval
 
+import java.util.concurrent.FutureTask
+
+import scala.util.Try
+
 import org.apache.spark.sql.SparkSession
 import repro.bn.{BayesianNetwork, ForwardSampler}
 import repro.core.{BNModel, EpsilonAllocation, SuffStats}
@@ -27,14 +31,19 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * sites, maintain the model with each algorithm, then evaluate 1000
   * conditional-probability test events and 1000 classification tests.
   *
-  * The EXACTMLE model is computed with Spark (distributed family-count
-  * aggregation); its communication is exactly `updatesPerEvent · m`
-  * messages (Lemma 5). The approximate algorithms run the monitoring
-  * protocol per-event; their metrics are medians over `runs` independent
-  * protocol seeds, as in the paper (median of five runs). Every
-  * (allocation × run) bank is fed by one `SequentialDriver.runAll` pass
-  * over one stream, concurrently, so the banks of a call are all live at
-  * once (about 83 MB each on MUNIN at k = 30).
+  * The EXACTMLE model is the exact value of every counter (Lemma 5),
+  * computed with Spark as one dense counter aggregation
+  * (`SuffStats.exactCounts`); its communication is exactly
+  * `updatesPerEvent · m` messages. The approximate algorithms run the
+  * monitoring protocol per-event; their metrics are medians over `runs`
+  * independent protocol seeds, as in the paper (median of five runs).
+  * Every (allocation × run) bank is fed by one `SequentialDriver.runAll`
+  * pass over one stream, concurrently, so the banks of a call are all live
+  * at once (about 83 MB each on MUNIN at k = 30). The Spark aggregation and
+  * the generation of the test events each run on a thread of their own
+  * beside that pass, and are joined before evaluation. The first failure,
+  * in the order test events, aggregation, pass, is rethrown as it was
+  * raised.
   */
 object Tables {
 
@@ -57,12 +66,24 @@ object Tables {
                  pScale: Option[Double] = None): DatasetResult = {
     val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
-    val queries = TestQueries.condQueries(net, nTests, minProb = 0.01, seed = seed)
-    val tests = TestQueries.clsTests(net, nTests, seed)
+    val allocs = allocations(eps, net)
+    val banks = for (alloc <- allocs; r <- 0 until runs) yield
+      new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed + 7919L * (r + 1), scale)
 
-    // EXACTMLE: Spark aggregation of exact sufficient statistics.
-    val events = ForwardSampler.events(spark, net, m, k, seed)
-    val exactModel = SuffStats.exactModel(spark, net, layout, events)
+    // The test events and the EXACTMLE Spark aggregation run beside the
+    // single pass that feeds every (allocation × run) bank.
+    val testsTask = beside("tables-tests") {
+      (TestQueries.condQueries(net, nTests, minProb = 0.01, seed = seed), TestQueries.clsTests(net, nTests, seed))
+    }
+    val mleTask = beside("tables-exact-mle") {
+      SuffStats.exactModel(spark, net, layout, ForwardSampler.events(spark, net, m, k, seed))
+    }
+    val pass = Try(SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, m, k, seed)))
+    SequentialDriver.await(Seq(testsTask, mleTask))
+    val finals = pass.get.map(_.last)
+    val (queries, tests) = testsTask.get()
+    val exactModel = mleTask.get()
+
     val exactRes = AlgoResult(
       "exactmle",
       messages = layout.updatesPerEvent.toLong * m,
@@ -70,12 +91,6 @@ object Tables {
       errVsTruth = Metrics.relErrVsTruth(exactModel, queries),
       errVsMle = 0.0,
     )
-
-    // Every (allocation × run) bank rides the same single pass of the stream.
-    val allocs = allocations(eps, net)
-    val banks = for (alloc <- allocs; r <- 0 until runs) yield
-      new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed + 7919L * (r + 1), scale)
-    val finals = SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, m, k, seed)).map(_.last)
     val approx = allocs.zip(finals.grouped(runs).toSeq).map { case (alloc, snaps) =>
       val perRun = snaps.map { snap =>
         val model = snap.model(net, layout)
@@ -92,6 +107,15 @@ object Tables {
     }
 
     DatasetResult(net.name, m, k, eps, exactRes +: approx)
+  }
+
+  /** Starts `work` on a daemon thread of its own. */
+  private def beside[A](name: String)(work: => A): FutureTask[A] = {
+    val task = new FutureTask[A](() => work)
+    val thread = new Thread(task, name)
+    thread.setDaemon(true)
+    thread.start()
+    task
   }
 
   /** Communication-only run (no model evaluation): message counts of the

@@ -135,7 +135,7 @@ object SequentialDriver {
   /** Waits for every task, then rethrows the first failure (in task order)
     * as the task raised it.
     */
-  private def await(tasks: Seq[Future[_]]): Unit = {
+  private[repro] def await(tasks: Seq[Future[_]]): Unit = {
     var failure: Throwable = null
     tasks.foreach { f =>
       try f.get()

@@ -1,65 +1,69 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.bn.{ForwardSampler, TestNets}
 
-/** Exercises the DuckDB oracle against the provided TPC-H-lite generators:
-  * a wrong Spark aggregation or a broken oracle canonicalization would
-  * surface here before it could mask a bug in the paper pipeline.
+/** Exercises the DuckDB oracle on forward-sampled event tables, with the
+  * assignment x widened to one column per variable: a wrong Spark
+  * aggregation or a broken oracle canonicalization would surface here
+  * before it could mask a bug in the paper pipeline.
   */
 class OracleSpec extends SparkSpec {
+  import spark.implicits._
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.0005, seed = 1L).cache()
-  private lazy val ord = SynthData.orders(spark, sf = 0.0005, seed = 2L).cache()
+  /** `m` events of the chain network as columns (id, site, x0, x1, x2),
+    * each name prefixed by `p`.
+    */
+  private def table(m: Long, seed: Long, p: String): DataFrame =
+    ForwardSampler.events(spark, TestNets.chain, m, 3, seed)
+      .map(e => (e.id, e.site, e.x(0), e.x(1), e.x(2)))
+      .toDF(Seq("id", "site", "x0", "x1", "x2").map(p + _): _*)
+
+  private lazy val ev = table(400, 1L, "").cache()
+  private lazy val other = table(250, 2L, "o_").cache()
 
   test("group-by aggregation matches DuckDB") {
-    val sparkDf = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), sum("l_quantity").as("qty"))
-      .select("l_returnflag", "cnt", "qty")
+    val sparkDf = ev.groupBy("site")
+      .agg(count(lit(1)).as("cnt"), sum("x2").as("x2sum"))
+      .select("site", "cnt", "x2sum")
     Oracle.assertEquivalent(sparkDf,
-      """SELECT l_returnflag, count(*) AS cnt, sum(CAST(l_quantity AS DOUBLE)) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT site, count(*) AS cnt, sum(CAST(x2 AS BIGINT)) AS x2sum
+        |FROM events GROUP BY site""".stripMargin,
+      "events" -> ev)
   }
 
   test("filtered count matches DuckDB") {
-    val sparkDf = li.filter(col("l_discount") > 0.05)
+    val sparkDf = ev.filter(col("x1") === 1)
       .agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(sparkDf,
-      "SELECT count(*) AS cnt FROM lineitem WHERE CAST(l_discount AS DOUBLE) > 0.05",
-      "lineitem" -> li)
+      "SELECT count(*) AS cnt FROM events WHERE CAST(x1 AS INT) = 1",
+      "events" -> ev)
   }
 
   test("join aggregation matches DuckDB") {
-    val sparkDf = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
-      .groupBy("o_orderstatus")
+    val sparkDf = ev.join(other, ev("id") === other("o_id"))
+      .groupBy("x0", "o_x0")
       .agg(count(lit(1)).as("cnt"))
-      .select("o_orderstatus", "cnt")
+      .select("x0", "o_x0", "cnt")
     Oracle.assertEquivalent(sparkDf,
-      """SELECT o_orderstatus, count(*) AS cnt
-        |FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        |GROUP BY o_orderstatus""".stripMargin,
-      "lineitem" -> li, "orders" -> ord)
+      """SELECT x0, o_x0, count(*) AS cnt
+        |FROM events JOIN other ON CAST(id AS BIGINT) = CAST(o_id AS BIGINT)
+        |GROUP BY x0, o_x0""".stripMargin,
+      "events" -> ev, "other" -> other)
   }
 
   test("oracle rejects a wrong result") {
-    val wrong = li.agg((count(lit(1)) + 1).as("cnt"))
+    val wrong = ev.agg((count(lit(1)) + 1).as("cnt"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM events", "events" -> ev)
     }
   }
 
   test("oracle rejects mismatched column sets") {
-    val sparkDf = li.agg(count(lit(1)).as("wrong_name"))
+    val sparkDf = ev.agg(count(lit(1)).as("wrong_name"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(sparkDf, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(sparkDf, "SELECT count(*) AS cnt FROM events", "events" -> ev)
     }
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, seed = 3L)
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000, seed = 4L)
-    val zTop = z.groupBy("k").count().orderBy(desc("count")).first().getLong(1)
-    val uTop = u.groupBy("k").count().orderBy(desc("count")).first().getLong(1)
-    assert(zTop > 5 * uTop, s"zipf top $zTop vs uniform top $uTop")
   }
 }

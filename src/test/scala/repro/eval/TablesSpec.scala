@@ -1,7 +1,10 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.bn.TestNets
+import repro.bn.{BayesianNetwork, ForwardSampler, TestNets}
+import repro.core.BNModel
+import repro.counter.{CounterLayout, ExactCounterBank}
+import repro.stream.SequentialDriver
 
 class TablesSpec extends SparkSpec {
 
@@ -20,6 +23,28 @@ class TablesSpec extends SparkSpec {
 
   test("exactmle error vs the MLE is zero by definition") {
     assert(result("exactmle").errVsMle == 0.0)
+  }
+
+  test("exactmle metrics equal those of the sequential exact counter bank bit for bit") {
+    val net = TestNets.random20
+    val layout = CounterLayout.standard(net)
+    val bank = new ExactCounterBank(layout.numCounters)
+    SequentialDriver.run(layout, bank, ForwardSampler.localEvents(net, 8000, 5, seed = 21L))
+    val model = new BNModel(net, layout, bank.estimate)
+    val clsErr = Metrics.classificationError(model, TestQueries.clsTests(net, 200, 21L))
+    val errVsTruth = Metrics.relErrVsTruth(model, TestQueries.condQueries(net, 200, minProb = 0.01, seed = 21L))
+    assert(result("exactmle").clsErr == clsErr)
+    assert(result("exactmle").errVsTruth == errVsTruth)
+  }
+
+  test("a failure of the work beside the pass reaches the caller as raised") {
+    // Every conditional probability is 1/128 < 0.01, so test-query generation gives up.
+    val flat = new BayesianNetwork("flat", Array(128), Array(Array.empty[Int]),
+      Array(Array(Array.fill(128)(1.0 / 128))))
+    val e = intercept[IllegalArgumentException] {
+      Tables.runDataset(spark, flat, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 1)
+    }
+    assert(e.getMessage.contains("query generation not converging"), e.getMessage)
   }
 
   test("approximate algorithms never cost more than exactmle") {
