@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.{DatasetResult, Networks, Tables}
-import repro.jobs.{JobSession, Table2And3}
+import repro.eval.DatasetResult
+import repro.jobs.Table2And3
 
 /** The shared Table 2/3 result grid of the bench suites.
   *
@@ -13,15 +13,5 @@ import repro.jobs.{JobSession, Table2And3}
   * pays for the expensive runs exactly once.
   */
 object BenchConfig {
-  lazy val grid: Seq[DatasetResult] = Networks.all.map { net =>
-    val t0 = System.nanoTime()
-    val r = Tables.runDataset(SparkSpec.shared, net, JobSession.m, JobSession.k, JobSession.eps,
-      JobSession.seed, JobSession.nTests, JobSession.runs, JobSession.pScale)
-    Console.err.println(f"[bench] ${net.name} done in ${(System.nanoTime() - t0) / 1e9}%.1f s")
-    r
-  }
-
-  /** Paper references re-exported for the bench suites. */
-  def paperClsErr: Map[String, Seq[Double]] = Table2And3.paperClsErr
-  def paperComm: Map[String, Seq[Long]] = Table2And3.paperComm
+  lazy val grid: Seq[DatasetResult] = Table2And3.runAll(SparkSpec.shared)
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.Networks
+import repro.eval.{Networks, Tables}
 import repro.jobs.{CommSweep, JobSession}
 
 /** Figure 9's shape: communication vs stream length on ALARM. EXACTMLE is
@@ -13,15 +13,12 @@ class CommSweepBench extends AnyFunSuite {
   private val ms: Seq[Long] = CommSweep.ms
 
   test("communication vs training points on ALARM (Figure 9 shape)") {
-    val rows = CommSweep.sweep(Networks.alarm, ms, JobSession.k, JobSession.eps,
-      JobSession.seed, JobSession.pScale)
-    println(repro.eval.Tables.render(
-      s"Communication vs m (alarm, k=${JobSession.k}, eps=${JobSession.eps})",
-      Seq("algorithm") ++ ms.map(m => s"m=$m"), rows))
+    val net = Networks.alarm
+    val counts = Tables.messageCounts(net, ms, JobSession.k, JobSession.eps, JobSession.seed, JobSession.pScale)
+    println(CommSweep.render(net, ms, JobSession.k, JobSession.eps, counts))
 
-    def row(name: String): Seq[Long] = rows.find(_.head == name).get.tail.map(_.toLong)
-    val exact = row("exactmle")
-    val nonuni = row("nonuniform")
+    val exact = counts("exactmle")
+    val nonuni = counts("nonuniform")
     // exact is exactly linear
     assert(exact.last.toDouble / exact.head == ms.last.toDouble / ms.head)
     // The log-vs-linear separation needs counters to be well past their

@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.EpsilonAllocation
-import repro.counter.{Coordinator, CounterLayout}
 import repro.eval.{Networks, Tables}
 import repro.jobs.JobSession
 
@@ -23,26 +22,24 @@ class NewAlarmBench extends AnyFunSuite {
 
   private val m: Long = sys.env.getOrElse("REPRO_NEWALARM_M", "2000000").toLong
   private val net = Networks.newAlarm
-  private val layout = CounterLayout.standard(net)
   private val k = JobSession.k
 
-  private def run(scale: Double, m: Long): Map[String, Long] =
-    Tables.commOnly(net, m, k, JobSession.eps, JobSession.seed, scale)
+  private def run(pScale: Option[Double], m: Long): Map[String, Long] =
+    Tables.messageCounts(net, Seq(m), k, JobSession.eps, JobSession.seed, pScale)
+      .map { case (a, c) => a -> c.head }
 
-  private def show(title: String, msgs: Map[String, Long], m: Long): Unit = {
-    val exact = layout.updatesPerEvent.toLong * m
+  private def show(title: String, msgs: Map[String, Long]): Unit = {
+    val exact = msgs("exactmle")
     println(Tables.render(title,
       Seq("algorithm", "messages", "vs exactmle"),
-      Seq(Seq("exactmle", exact.toString, "1.000")) ++
-        Seq("baseline", "uniform", "nonuniform").map(a =>
-          Seq(a, msgs(a).toString, f"${msgs(a).toDouble / exact}%.3f"))))
+      Tables.algoNames.map(a => Seq(a, msgs(a).toString, f"${msgs(a).toDouble / exact}%.3f"))))
     println(f"nonuniform/uniform = ${msgs("nonuniform").toDouble / msgs("uniform")}%.3f " +
       s"(asymptotic model ${f"${EpsilonAllocation.modelRatio(net.card, net.parentCard)}%.3f"}; paper ~0.65)")
   }
 
   test("NEW-ALARM calibrated profile: nonuniform beats uniform (Figure 11b shape)") {
-    val msgs = run(scale = 0.05, m)
-    show(s"NEW-ALARM, calibrated counter profile (pScale=0.05), m=$m", msgs, m)
+    val msgs = run(Some(0.05), m)
+    show(s"NEW-ALARM, calibrated counter profile (pScale=0.05), m=$m", msgs)
     // The ordering needs counters deep in the probabilistic regime.
     if (m >= 1000000L) {
       assert(msgs("nonuniform") < msgs("uniform"),
@@ -52,8 +49,8 @@ class NewAlarmBench extends AnyFunSuite {
 
   test("NEW-ALARM variance-honoring profile (informational)") {
     val mSmall = math.min(m, 50000L)
-    val msgs = run(Coordinator.theoryScale(k), mSmall)
-    show(s"NEW-ALARM, variance-honoring profile (pScale=sqrt(2k)), m=$mSmall", msgs, mSmall)
-    msgs.values.foreach(v => assert(v <= layout.updatesPerEvent.toLong * mSmall))
+    val msgs = run(None, mSmall)
+    show(s"NEW-ALARM, variance-honoring profile (pScale=sqrt(2k)), m=$mSmall", msgs)
+    msgs.values.foreach(v => assert(v <= msgs("exactmle")))
   }
 }

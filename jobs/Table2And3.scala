@@ -27,9 +27,10 @@ object Table2And3 {
 
   def runAll(spark: SparkSession): Seq[DatasetResult] =
     Networks.all.map { net =>
+      val t0 = System.nanoTime()
       val r = Tables.runDataset(spark, net, JobSession.m, JobSession.k, JobSession.eps,
         JobSession.seed, JobSession.nTests, JobSession.runs, JobSession.pScale)
-      Console.err.println(s"[tables] finished ${net.name}")
+      Console.err.println(f"[tables] ${net.name} done in ${(System.nanoTime() - t0) / 1e9}%.1f s")
       r
     }
 

@@ -45,17 +45,6 @@ final class BNModel(
     p
   }
 
-  /** Log-joint with smoothing, for classification scores. */
-  def logJointSmoothed(x: Array[Int]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < net.n) {
-      s += math.log(smoothedTheta(i, x(i), net.parentCode(i, x)))
-      i += 1
-    }
-    s
-  }
-
   /** Bayesian classification (Section 5.3): all variables except `target`
     * are evidence; return argmax over dom(target) of P[v | evidence].
     * Only the target's own family and its children's families depend on the

@@ -34,12 +34,13 @@ final class ExactCounterBank(numCounters: Int) extends CounterBank {
 
 /** Coordinator state for randomized approximate distributed counters.
   *
-  * Per (site, counter) it remembers the last reported local count and the
-  * inverse reporting probability in force at that report; the per-site
-  * estimator is `c̄ + 1/p − 1` (the expected unreported tail of a
-  * geometric-with-success-p reporting process), which makes the total
-  * estimate unbiased. `pFor` is the reporting probability the HYZ analysis
-  * prescribes: with `p = pScale/(ε′·Ĉ)` the estimator's variance is at most
+  * Per (site, counter) it keeps one value, the site's term of the estimate:
+  * `c̄ + 1/p − 1` for the last reported local count c̄ and the reporting
+  * probability p in force at that report (the expected unreported tail of
+  * a geometric-with-success-p reporting process), 0 before any report.
+  * Their sum over sites makes the total estimate unbiased. `pFor` is the
+  * reporting probability the HYZ analysis prescribes: with
+  * `p = pScale/(ε′·Ĉ)` the estimator's variance is at most
   * `k·(1/p)² = (ε′Ĉ)²·k/pScale²`, so `pScale = √(2k)` gives
   * `Var ≤ (ε′Ĉ)²/2 ≤ (ε′Ĉ)²` — the Lemma 4 guarantee.
   */
@@ -53,8 +54,7 @@ final class Coordinator(
   require(eps.forall(_ > 0), "every counter needs a positive error parameter")
 
   private val est = new Array[Double](numCounters)
-  private val lastRep = new Array[Int](k * numCounters)
-  private val invP = new Array[Double](k * numCounters)
+  private val siteTerm = new Array[Double](k * numCounters)
   private var msgs = 0L
 
   @inline private def idx(site: Int, counter: Int): Int = site * numCounters + counter
@@ -66,10 +66,9 @@ final class Coordinator(
     */
   def receive(site: Int, counter: Int, localCount: Int, invPUsed: Double, reports: Int = 1): Unit = {
     val j = idx(site, counter)
-    val before = if (invP(j) == 0.0) 0.0 else lastRep(j) + invP(j) - 1.0
-    lastRep(j) = localCount
-    invP(j) = invPUsed
-    est(counter) += (localCount + invPUsed - 1.0) - before
+    val before = siteTerm(j)
+    siteTerm(j) = localCount + invPUsed - 1.0
+    est(counter) += siteTerm(j) - before
     msgs += reports
   }
 

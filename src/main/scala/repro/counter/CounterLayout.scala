@@ -31,18 +31,6 @@ final class CounterLayout private (
   /** Global id of parent counter Aᵢ(u). */
   def parentCounter(i: Int, parentCode: Int): Int = parentOffset(i) + parentCode
 
-  /** Apply `f` to the (childCounterId, parentCounterId) pair of every family
-    * event in the full assignment `x` — the per-event update loop.
-    */
-  @inline def foreachFamily(x: Array[Int])(f: (Int, Int) => Unit): Unit = {
-    var i = 0
-    while (i < net.n) {
-      val u = net.parentCode(i, x)
-      f(childCounter(i, x(i), u), parentCounter(i, u))
-      i += 1
-    }
-  }
-
   /** Invoke `inc` exactly once per distinct counter the event touches.
     * In the standard layout every family contributes two distinct counters;
     * in a shared layout (Naïve Bayes) every feature's parent counter is the

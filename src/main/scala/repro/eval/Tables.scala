@@ -39,7 +39,7 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * independent protocol seeds, as in the paper (median of five runs).
   * Every (allocation × run) bank is fed by one `SequentialDriver.runAll`
   * pass over one stream, concurrently, so the banks of a call are all live
-  * at once (about 83 MB each on MUNIN at k = 30). The Spark aggregation and
+  * at once (about 72 MB each on MUNIN at k = 30). The Spark aggregation and
   * the generation of the test events each run on a thread of their own
   * beside that pass, and are joined before evaluation. The first failure,
   * in the order test events, aggregation, pass, is rethrown as it was
@@ -118,18 +118,22 @@ object Tables {
     task
   }
 
-  /** Communication-only run (no model evaluation): message counts of the
-    * three approximate algorithms over one protocol seed, plus EXACTMLE's
-    * analytic `2·n·m`. Used for the calibrated-profile Table 3 companion.
+  /** Communication only, no model evaluation: each algorithm's site →
+    * coordinator messages after each of the first `ms` events of one
+    * stream, at protocol seed `seed`, in the order of `ms`. EXACTMLE is its
+    * analytic `updatesPerEvent · m`. One pass feeds every allocation's bank;
+    * Table 3's calibrated companion, Figure 9 and Figure 11(b) read it.
+    * `pScale` as in `runDataset`.
     */
-  def commOnly(net: BayesianNetwork, m: Long, k: Int, eps: Double, seed: Long,
-               pScale: Double): Map[String, Long] = {
+  def messageCounts(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long,
+                    pScale: Option[Double]): Map[String, Seq[Long]] = {
+    val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
     val allocs = allocations(eps, net)
-    val banks = allocs.map(a => new DistCounterBank(layout.numCounters, k, a.epsArray(layout), seed, pScale))
-    val finals = SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, m, k, seed))
-    val approx = allocs.zip(finals).map { case (a, snaps) => a.name -> snaps.last.messages }
-    (("exactmle" -> layout.updatesPerEvent.toLong * m) +: approx).toMap
+    val banks = allocs.map(a => new DistCounterBank(layout.numCounters, k, a.epsArray(layout), seed, scale))
+    val snaps = SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, ms.max, k, seed), ms)
+    val approx = allocs.zip(snaps).map { case (a, s) => a.name -> ms.map(m => s.find(_.m == m).get.messages) }
+    (("exactmle" -> ms.map(layout.updatesPerEvent.toLong * _)) +: approx).toMap
   }
 
   /** Fixed-width table printer: header row + one line per dataset. */

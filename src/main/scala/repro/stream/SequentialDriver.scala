@@ -56,8 +56,8 @@ object SequentialDriver {
   }
 
   /** Process `events` in arrival order; snapshot after each checkpoint
-    * (event counts, ascending). Always snapshots the end of the stream if
-    * the last checkpoint does not cover it.
+    * (event counts) the stream reaches, and always at the end of the
+    * stream, so the last snapshot is the final state.
     */
   def run(layout: CounterLayout, bank: CounterBank, events: Iterator[Event],
           checkpoints: Seq[Long] = Seq.empty): Seq[Snapshot] =
@@ -72,7 +72,6 @@ object SequentialDriver {
              checkpoints: Seq[Long] = Seq.empty): Seq[Seq[Snapshot]] = {
     val upe = layout.updatesPerEvent
     val cps = checkpoints.filter(_ > 0).distinct.sorted.iterator.buffered
-    val covered = if (checkpoints.isEmpty) -1L else checkpoints.max
     val bs = banks.toIndexedSeq
     val out = bs.map(_ => Seq.newBuilder[Snapshot])
 
@@ -90,7 +89,7 @@ object SequentialDriver {
       c.end = from + n
       val atCheckpoint = cps.hasNext && cps.head == c.end
       if (atCheckpoint) cps.next()
-      c.snapshot = atCheckpoint || (!events.hasNext && covered < c.end)
+      c.snapshot = atCheckpoint || !events.hasNext
     }
 
     def feed(b: Int, c: Chunk): Unit = {

@@ -98,10 +98,4 @@ class BNModelSpec extends AnyFunSuite {
     // Bayes error for predicting the class from two 95% copies ≈ 0.05*0.95*2*0.5… ≲ 0.1
     assert(err < 0.12, s"err=$err")
   }
-
-  test("logJointSmoothed is finite even for unseen configurations") {
-    val m = modelOf(Map.empty)
-    val lp = m.logJointSmoothed(Array(1, 2, 1))
-    assert(!lp.isNaN && !lp.isInfinite)
-  }
 }

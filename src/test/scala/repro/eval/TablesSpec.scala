@@ -3,7 +3,7 @@ package repro.eval
 import repro.SparkSpec
 import repro.bn.{BayesianNetwork, ForwardSampler, TestNets}
 import repro.core.BNModel
-import repro.counter.{CounterLayout, ExactCounterBank}
+import repro.counter.{Coordinator, CounterLayout, DistCounterBank, ExactCounterBank}
 import repro.stream.SequentialDriver
 
 class TablesSpec extends SparkSpec {
@@ -71,6 +71,31 @@ class TablesSpec extends SparkSpec {
 
   test("apply throws on unknown algorithm names") {
     intercept[NoSuchElementException](result("nope"))
+  }
+
+  // Communication only: a stream of 3000 events read at three lengths, out of order.
+  private val msNet = TestNets.random20
+  private val msLayout = CounterLayout.standard(msNet)
+  private val ms = Seq(1000L, 250L, 3000L)
+  private lazy val counts = Tables.messageCounts(msNet, ms, k = 5, eps = 0.5, seed = 31L, pScale = Some(2.0))
+
+  test("messageCounts gives exactmle updatesPerEvent·m at every m") {
+    assert(counts.keySet == Tables.algoNames.toSet)
+    assert(counts("exactmle") == ms.map(msLayout.updatesPerEvent.toLong * _))
+  }
+
+  test("messageCounts equals a separate pass per allocation and m") {
+    for (alloc <- Tables.allocations(0.5, msNet); (m, got) <- ms.zip(counts(alloc.name))) {
+      val bank = new DistCounterBank(msLayout.numCounters, 5, alloc.epsArray(msLayout), 31L, 2.0)
+      val want = SequentialDriver.run(msLayout, bank, ForwardSampler.localEvents(msNet, m, 5, 31L)).last.messages
+      assert(got == want, s"${alloc.name} at m=$m")
+    }
+  }
+
+  test("messageCounts resolves pScale None to the variance-honoring scale") {
+    def at(pScale: Option[Double]) = Tables.messageCounts(TestNets.chain, Seq(400L), k = 3, eps = 0.5, seed = 32L, pScale)
+    assert(at(None) == at(Some(Coordinator.theoryScale(3))))
+    assert(at(None) != at(Some(1.0)))
   }
 
   test("render produces an aligned table with all cells") {

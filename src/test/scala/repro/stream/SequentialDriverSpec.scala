@@ -223,7 +223,8 @@ class SequentialDriverSpec extends AnyFunSuite {
         ForwardSampler.localEvents(net, m, k, 22L), cps).map(_.map(_.m))
     assert(ms(10, Nil) == Seq(Seq(10L), Seq(10L)))
     assert(ms(0, Nil) == Seq(Seq(0L), Seq(0L)))
-    assert(ms(600, Seq(5L, 300L, 300L, 900L)) == Seq.fill(2)(Seq(5L, 300L)))
+    assert(ms(0, Seq(0L)) == Seq(Seq(0L), Seq(0L)))
+    assert(ms(600, Seq(5L, 300L, 300L, 900L)) == Seq.fill(2)(Seq(5L, 300L, 600L)))
   }
 
   test("a failure in a later chunk of one of several banks surfaces as the bank raised it") {
