@@ -34,7 +34,8 @@ final class ExactCounterBank(numCounters: Int) extends CounterBank {
 
 /** Coordinator state for randomized approximate distributed counters.
   *
-  * Per (site, counter) it keeps one value, the site's term of the estimate:
+  * Per (site, counter) it keeps one value, at index `counter·k + site` so
+  * that a counter's k values are adjacent, the site's term of the estimate:
   * `c̄ + 1/p − 1` for the last reported local count c̄ and the reporting
   * probability p in force at that report (the expected unreported tail of
   * a geometric-with-success-p reporting process), 0 before any report.
@@ -57,7 +58,7 @@ final class Coordinator(
   private val siteTerm = new Array[Double](k * numCounters)
   private var msgs = 0L
 
-  @inline private def idx(site: Int, counter: Int): Int = site * numCounters + counter
+  @inline private def idx(site: Int, counter: Int): Int = counter * k + site
 
   /** `reports` upstream messages from one site for one counter, all sent
     * with the same inverse probability, the last of them carrying
@@ -85,12 +86,15 @@ object Coordinator {
   def theoryScale(k: Int): Double = math.sqrt(2.0 * k)
 }
 
-/** Sequential-driver bank over approximate counters: one `Site` per site
-  * plus the reporting probability each site currently knows for each
-  * counter. The refreshed probability piggybacks on the acknowledgement of
-  * each counted upstream message, so a site's `p` can be stale — that only
-  * makes it report more often than necessary (conservative), never less
-  * accurately. The coins are `Site`'s, shared with the micro-batch engine,
+/** Sequential-driver bank over approximate counters. Per (site, counter)
+  * it keeps the site's local count and the reporting probability the site
+  * currently knows, counter-major at index `counter·k + site` like the
+  * `Coordinator`'s site terms, so that a counter's k sites are adjacent and
+  * a pass grouped by counter walks them in order. The refreshed probability
+  * piggybacks on the acknowledgement of each counted upstream message, so a
+  * site's `p` can be stale — that only makes it report more often than
+  * necessary (conservative), never less accurately. Each increment is
+  * counted by `Site.increment`, the coin shared with the micro-batch engine,
   * so runs are replayable.
   */
 final class DistCounterBank(
@@ -102,24 +106,23 @@ final class DistCounterBank(
 ) extends CounterBank {
 
   val coordinator = new Coordinator(numCounters, k, eps, pScale)
-  private val sites = Array.tabulate(k)(new Site(_, numCounters, seed))
+  private val local = new Array[Int](k * numCounters)
   private val pSite = new Array[Double](k * numCounters)
   java.util.Arrays.fill(pSite, 1.0)
 
   override def increment(site: Int, counter: Int): Unit = {
     require(site >= 0 && site < k, s"site $site outside [0, $k)")
-    val s = sites(site)
-    val j = site * numCounters + counter
+    val j = counter * k + site
     val p = pSite(j)
-    if (s.increment(counter, p)) {
-      coordinator.receive(site, counter, s.count(counter), 1.0 / p)
+    if (Site.increment(local, j, seed, site, numCounters, counter, p)) {
+      coordinator.receive(site, counter, local(j), 1.0 / p)
       pSite(j) = coordinator.pFor(counter) // piggybacked ack
     }
   }
 
   override def estimate(counter: Int): Double = coordinator.estimate(counter)
   override def messages: Long = coordinator.messages
-  def localCount(site: Int, counter: Int): Int = sites(site).count(counter)
+  def localCount(site: Int, counter: Int): Int = local(counter * k + site)
 }
 
 object DistCounterBank {

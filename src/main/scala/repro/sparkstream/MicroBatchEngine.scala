@@ -87,17 +87,6 @@ final class MicroBatchEngine(
     }
     coordinator.messages - before
   }
-
-  /** Process a whole bounded stream in `numBatches` arrival-order slices. */
-  def run(spark: SparkSession, events: Dataset[Event], m: Long, numBatches: Int): Unit = {
-    val per = math.max(1L, (m + numBatches - 1) / numBatches)
-    var lo = 0L
-    while (lo < m) {
-      val hi = math.min(m, lo + per)
-      processBatch(spark, events.filter(e => e.id >= lo && e.id < hi))
-      lo = hi
-    }
-  }
 }
 
 object MicroBatchEngine {

@@ -28,16 +28,23 @@ final case class Snapshot(m: Long, messages: Long, estimates: Array[Double]) {
   *
   * Several banks (one per allocation and run) share one pass: the caller's
   * thread pulls each event once and computes its counter ids once, in
-  * chunks, and every bank consumes the chunk as its own task on a small
-  * daemon pool while the next chunk is being read. Chunks end at
-  * checkpoints, and a bank starts a chunk only after every bank has
-  * finished the previous one. Each bank therefore receives exactly the
-  * increments, in exactly the order, of a pass of its own, and its
-  * messages and estimates are the same bit for bit.
+  * chunks of up to `chunkEvents` events, and groups each chunk's
+  * increments by counter with a stable counting sort. Every bank then
+  * consumes the chunk as its own task on a small daemon pool, counter by
+  * counter in ascending order, while the next chunk is being read; a bank
+  * whose state is counter-major (`DistCounterBank`) so walks its memory in
+  * order. Chunks end at checkpoints, and a bank starts a chunk only after
+  * every bank has finished the previous one.
+  *
+  * HYZ counters are independent: only counter c's own increments touch
+  * its state, and the sort keeps them in stream order. Each bank therefore
+  * sees every counter's increments in exactly the order of an event-by-event
+  * pass of its own, and its messages (a sum over counters) and estimates
+  * are the same bit for bit.
   */
 object SequentialDriver {
 
-  private val chunkEvents = 256
+  private[stream] val chunkEvents = 256
 
   private lazy val pool: ExecutorService =
     Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors(), { (r: Runnable) =>
@@ -46,11 +53,13 @@ object SequentialDriver {
       t
     })
 
-  /** Up to `chunkEvents` events as sites and counter ids, `upe` ids per event. */
-  private final class Chunk(upe: Int) {
-    val sites = new Array[Int](chunkEvents)
-    val ids = new Array[Int](chunkEvents * upe)
-    var size = 0
+  /** The increments of up to `chunkEvents` events, grouped by counter: the
+    * sites of counter c's increments, in stream order, are `sites` from
+    * `start(c)` until `start(c + 1)`.
+    */
+  private final class Chunk(numCounters: Int, upe: Int) {
+    val start = new Array[Int](numCounters + 1)
+    val sites = new Array[Int](chunkEvents * upe)
     var end = 0L
     var snapshot = false
   }
@@ -71,9 +80,15 @@ object SequentialDriver {
   def runAll(layout: CounterLayout, banks: Seq[CounterBank], events: Iterator[Event],
              checkpoints: Seq[Long] = Seq.empty): Seq[Seq[Snapshot]] = {
     val upe = layout.updatesPerEvent
+    val numCounters = layout.numCounters
     val cps = checkpoints.filter(_ > 0).distinct.sorted.iterator.buffered
     val bs = banks.toIndexedSeq
     val out = bs.map(_ => Seq.newBuilder[Snapshot])
+
+    // The caller's thread reads a chunk into these before grouping it.
+    val eventSites = new Array[Int](chunkEvents)
+    val ids = new Array[Int](chunkEvents * upe)
+    val next = new Array[Int](numCounters)
 
     def fill(c: Chunk, from: Long): Unit = {
       val limit = if (cps.hasNext) math.min(chunkEvents.toLong, cps.head - from).toInt else chunkEvents
@@ -81,32 +96,55 @@ object SequentialDriver {
       var j = 0
       while (n < limit && events.hasNext) {
         val e = events.next()
-        c.sites(n) = e.site
-        layout.foreachUpdate(e.x) { id => c.ids(j) = id; j += 1 }
+        eventSites(n) = e.site
+        layout.foreachUpdate(e.x) { id => ids(j) = id; j += 1 }
         n += 1
       }
-      c.size = n
+      group(c, n, j)
       c.end = from + n
       val atCheckpoint = cps.hasNext && cps.head == c.end
       if (atCheckpoint) cps.next()
       c.snapshot = atCheckpoint || !events.hasNext
     }
 
-    def feed(b: Int, c: Chunk): Unit = {
-      val bank = bs(b)
+    /** Stable counting sort of the `n` events' `size` increments by counter. */
+    def group(c: Chunk, n: Int, size: Int): Unit = {
+      val start = c.start
+      java.util.Arrays.fill(start, 0)
+      var i = 0
+      while (i < size) { start(ids(i) + 1) += 1; i += 1 }
+      var counter = 0
+      while (counter < numCounters) { start(counter + 1) += start(counter); counter += 1 }
+      System.arraycopy(start, 0, next, 0, numCounters)
       var e = 0
-      var j = 0
-      while (e < c.size) {
-        val site = c.sites(e)
-        val stop = j + upe
-        while (j < stop) { bank.increment(site, c.ids(j)); j += 1 }
+      i = 0
+      while (e < n) {
+        val site = eventSites(e)
+        val stop = i + upe
+        while (i < stop) {
+          val id = ids(i)
+          c.sites(next(id)) = site
+          next(id) += 1
+          i += 1
+        }
         e += 1
       }
-      if (c.snapshot)
-        out(b) += Snapshot(c.end, bank.messages, Array.tabulate(layout.numCounters)(bank.estimate))
     }
 
-    val chunks = Array(new Chunk(upe), new Chunk(upe))
+    def feed(b: Int, c: Chunk): Unit = {
+      val bank = bs(b)
+      var counter = 0
+      var i = 0
+      while (counter < numCounters) {
+        val stop = c.start(counter + 1)
+        while (i < stop) { bank.increment(c.sites(i), counter); i += 1 }
+        counter += 1
+      }
+      if (c.snapshot)
+        out(b) += Snapshot(c.end, bank.messages, Array.tabulate(numCounters)(bank.estimate))
+    }
+
+    val chunks = Array(new Chunk(numCounters, upe), new Chunk(numCounters, upe))
     var pending = Seq.empty[Future[_]]
     var m = 0L
     var cur = 0

@@ -2,7 +2,8 @@ package repro.util
 
 /** Counter-based deterministic randomness.
   *
-  * The streaming protocol's one coin, drawn in `repro.counter.Site`, is
+  * The streaming protocol's one coin, drawn in `repro.counter.Site`'s
+  * `increment` function for both engines, is
   * `uniform(seed, site·numCounters + counter, localCount)`. It must be
   * reproducible regardless of execution order — the sequential simulator
   * and the Spark micro-batch engine draw the same coins, and site logic

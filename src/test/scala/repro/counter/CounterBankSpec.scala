@@ -1,6 +1,9 @@
 package repro.counter
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bn.{ForwardSampler, TestNets}
+import repro.core.EpsilonAllocation
+import repro.stream.SequentialDriver
 import repro.util.Rng
 
 class ExactCounterBankSpec extends AnyFunSuite {
@@ -110,6 +113,16 @@ class SiteSpec extends AnyFunSuite {
     assert(site.count(0) == 2)
   }
 
+  test("the coin function draws the same coins at any index of any layout") {
+    val site = new Site(2, 10, seed = 7L)
+    val counterMajor = new Array[Int](4 * 10) // (site, counter) at counter·4 + site
+    (1 to 50).foreach { n =>
+      assert(Site.increment(counterMajor, 3 * 4 + 2, 7L, 2, 10, 3, 0.4) == site.increment(3, 0.4), s"increment $n")
+      assert(counterMajor(3 * 4 + 2) == site.count(3))
+    }
+    assert(counterMajor.sum == 50)
+  }
+
   test("an increment past Int.MaxValue fails, naming the site and counter") {
     val site = new Site(2, 10, seed = 7L)
     site.resume(3, Int.MaxValue)
@@ -208,6 +221,20 @@ class DistCounterBankSpec extends AnyFunSuite {
     val m2 = messagesFor(200000, 5L)
     // 10x the stream should cost far less than 10x the messages
     assert(m2 < m1 * 5, s"m1=$m1 m2=$m2")
+  }
+
+  test("messages and estimates stay those recorded before the counter-grouped pass") {
+    // Recorded with the site-major bank fed event by event; any change to
+    // the coins, their keys or the fold moves them.
+    val net = TestNets.random20
+    val layout = CounterLayout.standard(net)
+    def pass(alloc: EpsilonAllocation): (Long, Int) = {
+      val bank = new DistCounterBank(layout.numCounters, 30, alloc.epsArray(layout), 7L, 0.05)
+      val s = SequentialDriver.run(layout, bank, ForwardSampler.localEvents(net, 3000, 30, 7L)).last
+      (s.messages, s.estimates.map(java.lang.Double.doubleToLongBits).toSeq.hashCode)
+    }
+    assert(pass(EpsilonAllocation.Uniform(0.1, net.n)) == ((30747L, -1276394207)))
+    assert(pass(EpsilonAllocation.NonUniform(0.1, net)) == ((32125L, 2004789090)))
   }
 
   test("per-counter independence: a busy counter does not affect an idle one") {

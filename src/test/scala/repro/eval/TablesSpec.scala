@@ -98,6 +98,14 @@ class TablesSpec extends SparkSpec {
     assert(at(None) != at(Some(1.0)))
   }
 
+  test("messageCounts on ALARM stays what was recorded before the counter-grouped pass") {
+    assert(Tables.messageCounts(Networks.alarm, Seq(5000L, 20000L), 30, 0.1, 11L, Some(0.05)) == Map(
+      "exactmle" -> Seq(370000L, 1480000L),
+      "baseline" -> Seq(103596L, 172346L),
+      "uniform" -> Seq(97628L, 160838L),
+      "nonuniform" -> Seq(99398L, 161363L)))
+  }
+
   test("render produces an aligned table with all cells") {
     val s = Tables.render("t", Seq("a", "bb"), Seq(Seq("1", "2"), Seq("333", "4")))
     val lines = s.split("\n")

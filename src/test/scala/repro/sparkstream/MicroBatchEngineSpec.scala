@@ -12,6 +12,19 @@ class MicroBatchEngineSpec extends SparkSpec {
   private val layout = CounterLayout.standard(net)
   private val k = 4
 
+  /** A whole bounded stream in `numBatches` arrival-order slices, one
+    * `processBatch` each. Every slice filters the whole of `events`.
+    */
+  private def run(engine: MicroBatchEngine, events: Dataset[Event], m: Long, numBatches: Int): Unit = {
+    val per = math.max(1L, (m + numBatches - 1) / numBatches)
+    var lo = 0L
+    while (lo < m) {
+      val hi = math.min(m, lo + per)
+      engine.processBatch(spark, events.filter(e => e.id >= lo && e.id < hi))
+      lo = hi
+    }
+  }
+
   /** Allocation so tight that p stays 1 — the engine degenerates to exact. */
   private def exactish: EpsilonAllocation = EpsilonAllocation.Baseline(1e-6, net.n)
 
@@ -19,7 +32,7 @@ class MicroBatchEngineSpec extends SparkSpec {
     val m = 2000L
     val events = ForwardSampler.events(spark, net, m, k, seed = 1L)
     val engine = MicroBatchEngine(net, layout, exactish, k, seed = 2L)
-    engine.run(spark, events, m, numBatches = 5)
+    run(engine, events, m, numBatches = 5)
 
     val ref = new ExactCounterBank(layout.numCounters)
     SequentialDriver.run(layout, ref, ForwardSampler.localEvents(net, m, k, seed = 1L))
@@ -35,9 +48,9 @@ class MicroBatchEngineSpec extends SparkSpec {
     val m = 1500L
     val events = ForwardSampler.events(spark, net, m, k, seed = 3L)
     val one = MicroBatchEngine(net, layout, exactish, k, seed = 4L)
-    one.run(spark, events, m, numBatches = 1)
+    run(one, events, m, numBatches = 1)
     val many = MicroBatchEngine(net, layout, exactish, k, seed = 4L)
-    many.run(spark, events, m, numBatches = 7)
+    run(many, events, m, numBatches = 7)
     (0 until layout.numCounters).foreach { c =>
       assert(one.coordinator.estimate(c) == many.coordinator.estimate(c), s"counter $c")
     }
@@ -47,7 +60,7 @@ class MicroBatchEngineSpec extends SparkSpec {
     val m = 20000L
     val events = ForwardSampler.events(spark, net, m, k, seed = 5L)
     val engine = MicroBatchEngine(net, layout, EpsilonAllocation.Uniform(0.8, net.n), k, seed = 6L)
-    engine.run(spark, events, m, numBatches = 10)
+    run(engine, events, m, numBatches = 10)
     assert(engine.messages < 2L * net.n * m / 2, s"messages=${engine.messages}")
   }
 
@@ -55,7 +68,7 @@ class MicroBatchEngineSpec extends SparkSpec {
     val m = 20000L
     val events = ForwardSampler.events(spark, net, m, k, seed = 7L)
     val engine = MicroBatchEngine(net, layout, EpsilonAllocation.Uniform(0.4, net.n), k, seed = 8L)
-    engine.run(spark, events, m, numBatches = 10)
+    run(engine, events, m, numBatches = 10)
 
     val ref = new ExactCounterBank(layout.numCounters)
     SequentialDriver.run(layout, ref, ForwardSampler.localEvents(net, m, k, seed = 7L))
@@ -144,7 +157,7 @@ class MicroBatchEngineSpec extends SparkSpec {
     spark.conf.set(key, "false") // keep the site groups in separate tasks
     try {
       val engine = MicroBatchEngine(nbNet, nb, EpsilonAllocation.Baseline(1e-6, nbNet.n), k, seed = 18L)
-      engine.run(spark, ForwardSampler.events(spark, nbNet, m, k, seed = 19L), m, numBatches = 2)
+      run(engine, ForwardSampler.events(spark, nbNet, m, k, seed = 19L), m, numBatches = 2)
       val ref = new ExactCounterBank(nb.numCounters)
       SequentialDriver.run(nb, ref, ForwardSampler.localEvents(nbNet, m, k, seed = 19L))
       assert(engine.messages == nb.updatesPerEvent.toLong * m)

@@ -217,6 +217,34 @@ class SequentialDriverSpec extends AnyFunSuite {
       m = 1337, checkpoints = Seq(7L, 700L))
   }
 
+  test("grouping by counter keeps each counter's increments in stream order while its p changes") {
+    // Two binary variables at k = 3: every counter takes hundreds of
+    // increments per chunk. At pScale 1 and ε′ ≤ 0.3 a counter turns
+    // probabilistic once its estimate passes 10/3–10, inside the first
+    // chunk, and its p changes at every report after that.
+    val pair = new BayesianNetwork("pair", Array(2, 2), Array(Array.empty[Int], Array(0)),
+      Array(Array(Array(0.4, 0.6)), Array(Array(0.7, 0.3), Array(0.2, 0.8))))
+    val nb = NetworkGenerator.naiveBayes("nb-pair", 2, 2, Array(2), seed = 43L)
+    val chunk = SequentialDriver.chunkEvents.toLong
+    // Inside the first chunk, at the end of a whole chunk, and a stream end mid-chunk.
+    val checkpoints = Seq(100L, 100L + chunk)
+    val m = 100L + 3 * chunk + 77
+    for (layout <- Seq(CounterLayout.standard(pair), CounterLayout.naiveBayes(nb))) {
+      val events = ForwardSampler.localEvents(layout.net, m, 3, 44L).toArray
+      def banks: Seq[DistCounterBank] = (1 to 3).map { r =>
+        new DistCounterBank(layout.numCounters, 3, Array.fill(layout.numCounters)(0.1 * r), 200L + r, 1.0)
+      }
+      val together = SequentialDriver.runAll(layout, banks, events.iterator, checkpoints)
+      val alone = banks.map(b => reference(layout, b, events.iterator, checkpoints))
+      together.indices.foreach { b =>
+        assert(together(b).map(_.m) == Seq(100L, 100L + chunk, m))
+        assert(bits(together(b)) == bits(alone(b)), s"bank $b of ${layout.net.name}")
+        assert(together(b).head.messages < layout.updatesPerEvent * 100L * 3 / 4,
+          s"bank $b of ${layout.net.name} turned probabilistic inside the first chunk")
+      }
+    }
+  }
+
   test("a stream shorter than a chunk, an empty stream and checkpoints past the end") {
     def ms(m: Long, cps: Seq[Long]): Seq[Seq[Long]] =
       SequentialDriver.runAll(layout, Seq.fill(2)(new ExactCounterBank(layout.numCounters)),
