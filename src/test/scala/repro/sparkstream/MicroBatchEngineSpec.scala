@@ -130,6 +130,25 @@ class MicroBatchEngineSpec extends SparkSpec {
     }
   }
 
+  test("with six sites and probabilistic counters, messages and estimates stay those recorded") {
+    // Recorded at commit 21c1134, with each site task counting on a copy of
+    // a carried `Site` object; any change to the coins, their keys, the
+    // p published per batch or the fold moves them.
+    val net = TestNets.random20
+    val layout = CounterLayout.standard(net)
+    val events = ForwardSampler.events(spark, net, 3000L, 6, seed = 31L)
+    def pass(alloc: EpsilonAllocation): (Long, Int) = {
+      val e = new MicroBatchEngine(net, layout, alloc, 6, 32L, 0.05)
+      (0L until 3000L by 750L).foreach { lo =>
+        e.processBatch(spark, events.filter(ev => ev.id >= lo && ev.id < lo + 750L))
+      }
+      val bits = (0 until layout.numCounters).map(c => java.lang.Double.doubleToLongBits(e.coordinator.estimate(c)))
+      (e.messages, bits.hashCode)
+    }
+    assert(pass(EpsilonAllocation.Uniform(0.3, net.n)) == ((36351L, -752364219)))
+    assert(pass(EpsilonAllocation.NonUniform(0.3, net)) == ((36441L, 1581929970)))
+  }
+
   test("a batch and the same batch repartitioned give identical messages and estimates") {
     val m = 3000L
     val events = ForwardSampler.events(spark, net, m, k, seed = 15L)
