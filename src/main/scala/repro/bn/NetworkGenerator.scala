@@ -131,14 +131,6 @@ object NetworkGenerator {
     new BayesianNetwork(name, card, parents, buildCpts(card, parents, seed))
   }
 
-  /** Random tree: every node except the root has exactly one parent. */
-  def tree(name: String, n: Int, maxCard: Int, seed: Long): BayesianNetwork = {
-    val parents = Array.tabulate(n)(i =>
-      if (i == 0) Array.empty[Int] else Array(Rng.uniformInt(i, seed, 0x17eeL, i.toLong)))
-    val card = Array.tabulate(n)(i => 2 + Rng.uniformInt(maxCard - 1, seed, 0xcaddL, i.toLong))
-    new BayesianNetwork(name, card, parents, buildCpts(card, parents, seed))
-  }
-
   /** NEW-ALARM-style variant: keep the structure of `base`, force `nWide`
     * randomly chosen variables to cardinality `wideCard`, regenerate CPTs.
     */

@@ -3,27 +3,11 @@ package repro.counter
 import repro.util.Rng
 
 /** One site's half of the randomized counter protocol (Algorithm 2 on the
-  * HYZ counter) in the micro-batch engine: its local counts, one per
-  * counter, counted through `Site.increment`, the protocol's one coin.
-  * The sequential `DistCounterBank` keeps the same counts counter-major and
-  * calls the same function.
+  * HYZ counter). A site's state is its local counts, one `Int` per counter,
+  * held in a plain array by each engine: counter-major at
+  * `counter·k + site` in the sequential `DistCounterBank`, one array per
+  * site in the micro-batch engine. Both count through `increment`.
   */
-final class Site private (val site: Int, seed: Long, local: Array[Int]) extends Serializable {
-
-  def this(site: Int, numCounters: Int, seed: Long) = this(site, seed, new Array[Int](numCounters))
-
-  def count(counter: Int): Int = local(counter)
-
-  /** Counts one increment; true when the site reports its new local count. */
-  def increment(counter: Int, p: Double): Boolean =
-    Site.increment(local, counter, seed, site, local.length, counter, p)
-
-  /** Resumes `counter` at a local count carried from a site task. */
-  def resume(counter: Int, localCount: Int): Unit = local(counter) = localCount
-
-  def copy(): Site = new Site(site, seed, local.clone())
-}
-
 object Site {
 
   /** The protocol's only coin: counts one increment of `counter` at `site`,

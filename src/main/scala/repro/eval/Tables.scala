@@ -64,6 +64,7 @@ object Tables {
   def runDataset(spark: SparkSession, net: BayesianNetwork, m: Long, k: Int,
                  eps: Double, seed: Long, nTests: Int, runs: Int,
                  pScale: Option[Double] = None): DatasetResult = {
+    require(runs >= 1, s"runs = $runs, expected at least 1")
     val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
     val allocs = allocations(eps, net)
@@ -127,6 +128,8 @@ object Tables {
     */
   def messageCounts(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long,
                     pScale: Option[Double]): Map[String, Seq[Long]] = {
+    require(ms.nonEmpty, "ms is empty, expected at least one checkpoint")
+    ms.foreach(m => require(m > 0, s"checkpoint m = $m in ms, expected m > 0"))
     val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
     val allocs = allocations(eps, net)

@@ -15,16 +15,18 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCou
 
 /** Spark micro-batch realization of the continuous monitoring protocol.
   *
-  * Each batch is grouped by site; every site task increments its own copy
-  * of its `Site` with the reporting probabilities the coordinator
-  * published at the start of the batch, so its coins are the ones the
-  * sequential bank draws. Within a batch p is fixed, so a site's reports
-  * depend only on its local counts, not on the order of its events, and
-  * each report replaces the last one in the coordinator's estimate. A site
-  * task therefore returns one `SiteRow`, and the driver, playing the
-  * coordinator, folds the rows in site order: per counter, the last report
-  * with the number of reports it stands for. Communication cost is the sum
-  * of those report counts.
+  * Each site's state is a plain array of its local counts, one per
+  * counter. Each batch is grouped by site; every site task counts on a
+  * clone of its site's array through `Site.increment`, with the reporting
+  * probabilities the coordinator published at the start of the batch, so
+  * its coins are the ones the sequential bank draws. Within a batch p is
+  * fixed, so a site's reports depend only on its local counts, not on the
+  * order of its events, and each report replaces the last one in the
+  * coordinator's estimate. A site task therefore returns one `SiteRow`,
+  * and the driver, playing the coordinator, writes each row's local counts
+  * back into its site's array and folds the rows in site order: per
+  * counter, the last report with the number of reports it stands for.
+  * Communication cost is the sum of those report counts.
   *
   * Compared with the sequential driver, the only semantic difference is
   * that reporting probabilities refresh at batch boundaries instead of on
@@ -41,7 +43,7 @@ final class MicroBatchEngine(
 ) {
 
   val coordinator = new Coordinator(layout.numCounters, k, allocation.epsArray(layout), pScale)
-  private val sites = Array.tabulate(k)(new Site(_, layout.numCounters, seed))
+  private val sites = Array.fill(k)(new Array[Int](layout.numCounters))
   private var processed = 0L
 
   def messages: Long = coordinator.messages
@@ -59,6 +61,7 @@ final class MicroBatchEngine(
     val bcP = spark.sparkContext.broadcast(p)
     val bcSites = spark.sparkContext.broadcast(sites)
     val bcLayout = spark.sparkContext.broadcast(layout)
+    val seed = this.seed // a local, so the site tasks do not capture the engine
 
     val rows = batch
       .groupByKey(_.site)
@@ -66,7 +69,7 @@ final class MicroBatchEngine(
         val all = bcSites.value
         // A site outside [0, k) comes back without state; the driver rejects it.
         if (site < 0 || site >= all.length) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
-        else MicroBatchEngine.siteTask(bcLayout.value, all(site), bcP.value, events)
+        else MicroBatchEngine.siteTask(bcLayout.value, site, seed, all(site), bcP.value, events)
       }
       .collect()
       .sortBy(_.site)
@@ -75,11 +78,11 @@ final class MicroBatchEngine(
 
     rows.foreach(r => require(r.site >= 0 && r.site < k, s"site ${r.site} outside [0, $k)"))
     rows.foreach { r =>
-      val s = sites(r.site)
+      val local = sites(r.site)
       var i = 0
       while (i < r.counters.length) {
         val c = r.counters(i)
-        s.resume(c, r.localCounts(i))
+        local(c) = r.localCounts(i)
         if (r.reports(i) > 0) coordinator.receive(r.site, c, r.reported(i), 1.0 / p(c), r.reports(i))
         i += 1
       }
@@ -94,27 +97,27 @@ object MicroBatchEngine {
             k: Int, seed: Long): MicroBatchEngine =
     new MicroBatchEngine(net, layout, allocation, k, seed, Coordinator.theoryScale(k))
 
-  /** One site's batch, run on a copy of its `Site` so that the broadcast
-    * state stays untouched.
+  /** One site's batch, counted on a clone of its local counts `start` so
+    * that the broadcast state stays untouched.
     */
-  private def siteTask(layout: CounterLayout, start: Site, p: Array[Double],
-                       events: Iterator[Event]): SiteRow = {
-    val site = start.copy()
+  private def siteTask(layout: CounterLayout, site: Int, seed: Long, start: Array[Int],
+                       p: Array[Double], events: Iterator[Event]): SiteRow = {
+    val local = start.clone()
     val reported = new Array[Int](layout.numCounters)
     val reports = new Array[Int](layout.numCounters)
     val touched = Array.newBuilder[Int]
     var n = 0L
     events.foreach { e =>
       layout.foreachUpdate(e.x) { c =>
-        if (site.count(c) == start.count(c)) touched += c
-        if (site.increment(c, p(c))) {
-          reported(c) = site.count(c)
+        if (local(c) == start(c)) touched += c
+        if (Site.increment(local, c, seed, site, local.length, c, p(c))) {
+          reported(c) = local(c)
           reports(c) += 1
         }
       }
       n += 1
     }
     val cs = touched.result()
-    SiteRow(start.site, n, cs, cs.map(site.count), cs.map(reported), cs.map(reports))
+    SiteRow(site, n, cs, cs.map(local), cs.map(reported), cs.map(reports))
   }
 }

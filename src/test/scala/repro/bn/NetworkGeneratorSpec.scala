@@ -74,13 +74,6 @@ class NetworkGeneratorSpec extends AnyFunSuite {
     assert(nb.card(0) == 3)
   }
 
-  test("tree has exactly one parent per non-root node") {
-    val t = NetworkGenerator.tree("t", 15, maxCard = 4, seed = 9L)
-    assert(t.parents(0).isEmpty)
-    (1 until 15).foreach(i => assert(t.parents(i).length == 1))
-    assert(t.numEdges == 14)
-  }
-
   test("widen keeps structure and changes exactly nWide cardinalities") {
     val base = NetworkGenerator.random("b", 20, 30, 4, 3, 10L)
     val wide = NetworkGenerator.widen(base, nWide = 5, wideCard = 20, seed = 11L)

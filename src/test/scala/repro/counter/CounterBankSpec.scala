@@ -94,41 +94,35 @@ class CoordinatorSpec extends AnyFunSuite {
 
 class SiteSpec extends AnyFunSuite {
 
-  test("the n-th increment's coin is Rng.uniform(seed, site·numCounters + counter, n) < p") {
-    val site = new Site(2, 10, seed = 7L)
-    (1 to 50).foreach { n =>
-      assert(site.increment(3, 0.4) == (Rng.uniform(7L, 23L, n.toLong) < 0.4), s"increment $n")
-      assert(site.count(3) == n)
-    }
-    assert((1 to 5).forall(_ => site.increment(4, 1.0)), "p = 1 always reports")
-  }
+  /** Counts one increment at site 2 of 10 counters, seed 7, its counts in `local` at `j`. */
+  private def inc(local: Array[Int], j: Int, counter: Int, p: Double): Boolean =
+    Site.increment(local, j, 7L, 2, 10, counter, p)
 
-  test("a copy counts on its own, and resume restores a carried count") {
-    val site = new Site(0, 2, seed = 1L)
-    site.increment(0, 1.0)
-    val copy = site.copy()
-    copy.increment(0, 1.0)
-    assert(site.count(0) == 1 && copy.count(0) == 2)
-    site.resume(0, copy.count(0))
-    assert(site.count(0) == 2)
+  test("the n-th increment's coin is Rng.uniform(seed, site·numCounters + counter, n) < p") {
+    val local = new Array[Int](10)
+    (1 to 50).foreach { n =>
+      assert(inc(local, 3, 3, 0.4) == (Rng.uniform(7L, 23L, n.toLong) < 0.4), s"increment $n")
+      assert(local(3) == n)
+    }
+    assert((1 to 5).forall(_ => inc(local, 4, 4, 1.0)), "p = 1 always reports")
   }
 
   test("the coin function draws the same coins at any index of any layout") {
-    val site = new Site(2, 10, seed = 7L)
+    val perSite = new Array[Int](10) // site 2's own array, counter at its index
     val counterMajor = new Array[Int](4 * 10) // (site, counter) at counter·4 + site
     (1 to 50).foreach { n =>
-      assert(Site.increment(counterMajor, 3 * 4 + 2, 7L, 2, 10, 3, 0.4) == site.increment(3, 0.4), s"increment $n")
-      assert(counterMajor(3 * 4 + 2) == site.count(3))
+      assert(inc(counterMajor, 3 * 4 + 2, 3, 0.4) == inc(perSite, 3, 3, 0.4), s"increment $n")
+      assert(counterMajor(3 * 4 + 2) == perSite(3))
     }
     assert(counterMajor.sum == 50)
   }
 
   test("an increment past Int.MaxValue fails, naming the site and counter") {
-    val site = new Site(2, 10, seed = 7L)
-    site.resume(3, Int.MaxValue)
-    val e = intercept[ArithmeticException](site.increment(3, 1.0))
+    val local = new Array[Int](10)
+    local(3) = Int.MaxValue
+    val e = intercept[ArithmeticException](inc(local, 3, 3, 1.0))
     assert(e.getMessage.contains("site 2 counter 3"))
-    assert(site.count(3) == Int.MaxValue)
+    assert(local(3) == Int.MaxValue)
   }
 }
 

@@ -106,6 +106,23 @@ class TablesSpec extends SparkSpec {
       "nonuniform" -> Seq(99398L, 161363L)))
   }
 
+  test("messageCounts rejects an empty ms") {
+    val e = intercept[IllegalArgumentException](Tables.messageCounts(msNet, Seq.empty, 5, 0.5, 31L, None))
+    assert(e.getMessage.contains("ms is empty"), e.getMessage)
+  }
+
+  test("messageCounts rejects a non-positive checkpoint, naming it") {
+    val e = intercept[IllegalArgumentException](Tables.messageCounts(msNet, Seq(0L, 1000L), 5, 0.5, 31L, None))
+    assert(e.getMessage.contains("checkpoint m = 0"), e.getMessage)
+  }
+
+  test("runDataset rejects fewer than one run, naming the value") {
+    val e = intercept[IllegalArgumentException] {
+      Tables.runDataset(spark, msNet, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 0)
+    }
+    assert(e.getMessage.contains("runs = 0"), e.getMessage)
+  }
+
   test("render produces an aligned table with all cells") {
     val s = Tables.render("t", Seq("a", "bb"), Seq(Seq("1", "2"), Seq("333", "4")))
     val lines = s.split("\n")
