@@ -51,6 +51,8 @@ final class Coordinator(
     val eps: Array[Double],
     val pScale: Double,
 ) extends Serializable {
+  require(k >= 1, s"k = $k sites, expected at least 1")
+  require(pScale > 0 && !pScale.isInfinite, s"pScale = $pScale, expected a positive finite number")
   require(eps.length == numCounters, s"eps has ${eps.length} entries, expected $numCounters")
   require(eps.forall(_ > 0), "every counter needs a positive error parameter")
 

@@ -1,5 +1,6 @@
 package repro.sparkstream
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.bn.{BayesianNetwork, Event}
 import repro.core.{BNModel, EpsilonAllocation}
@@ -16,8 +17,11 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCou
 /** Spark micro-batch realization of the continuous monitoring protocol.
   *
   * Each site's state is a plain array of its local counts, one per
-  * counter. Each batch is grouped by site; every site task counts on a
-  * clone of its site's array through `Site.increment`, with the reporting
+  * counter. Each batch's events are hash-partitioned by site into
+  * min(k, defaultParallelism) RDD tasks, which adaptive query execution
+  * cannot coalesce; a task groups its events by site and runs one site
+  * task per site. A site task counts on a clone of its site's array
+  * through `Site.increment`, with the reporting
   * probabilities the coordinator published at the start of the batch, so
   * its coins are the ones the sequential bank draws. Within a batch p is
   * fixed, so a site's reports depend only on its local counts, not on the
@@ -55,21 +59,25 @@ final class MicroBatchEngine(
     * whole, before any state changes.
     */
   def processBatch(spark: SparkSession, batch: Dataset[Event]): Long = {
-    import spark.implicits._
+    val sc = spark.sparkContext
     val before = coordinator.messages
     val p = Array.tabulate(layout.numCounters)(coordinator.pFor)
-    val bcP = spark.sparkContext.broadcast(p)
-    val bcSites = spark.sparkContext.broadcast(sites)
-    val bcLayout = spark.sparkContext.broadcast(layout)
+    val bcP = sc.broadcast(p)
+    val bcSites = sc.broadcast(sites)
+    val bcLayout = sc.broadcast(layout)
     val seed = this.seed // a local, so the site tasks do not capture the engine
 
-    val rows = batch
-      .groupByKey(_.site)
-      .mapGroups { (site: Int, events: Iterator[Event]) =>
+    val rows = batch.rdd
+      .keyBy(_.site)
+      .partitionBy(new HashPartitioner(math.min(k, sc.defaultParallelism)))
+      .values
+      .mapPartitions { events =>
         val all = bcSites.value
-        // A site outside [0, k) comes back without state; the driver rejects it.
-        if (site < 0 || site >= all.length) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
-        else MicroBatchEngine.siteTask(bcLayout.value, site, seed, all(site), bcP.value, events)
+        events.toArray.groupBy(_.site).iterator.map { case (site, group) =>
+          // A site outside [0, k) comes back without state; the driver rejects it.
+          if (site < 0 || site >= all.length) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
+          else MicroBatchEngine.siteTask(bcLayout.value, site, seed, all(site), bcP.value, group.iterator)
+        }
       }
       .collect()
       .sortBy(_.site)

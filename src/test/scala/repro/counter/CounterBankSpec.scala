@@ -87,6 +87,18 @@ class CoordinatorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new Coordinator(1, 2, Array(0.0), 1.0))
   }
 
+  test("rejects fewer than one site, naming k") {
+    val e = intercept[IllegalArgumentException](new Coordinator(1, 0, Array(0.5), 1.0))
+    assert(e.getMessage.contains("k = 0 sites, expected at least 1"))
+  }
+
+  test("rejects a pScale that is not positive and finite, naming it") {
+    Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity).foreach { s =>
+      val e = intercept[IllegalArgumentException](new Coordinator(1, 2, Array(0.5), s))
+      assert(e.getMessage.contains(s"pScale = $s, expected a positive finite number"), s"pScale $s")
+    }
+  }
+
   test("theoryScale is sqrt(2k)") {
     assert(math.abs(Coordinator.theoryScale(8) - 4.0) < 1e-12)
   }

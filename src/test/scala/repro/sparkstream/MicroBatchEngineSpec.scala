@@ -1,6 +1,10 @@
 package repro.sparkstream
 
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.Dataset
+import org.scalatest.concurrent.Eventually.eventually
+import org.scalatest.concurrent.PatienceConfiguration.Timeout
+import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
 import repro.bn.{Event, ForwardSampler, NetworkGenerator, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
@@ -171,22 +175,31 @@ class MicroBatchEngineSpec extends SparkSpec {
       featureCards = Array(2, 3, 4, 2, 3), seed = 17L)
     val nb = CounterLayout.naiveBayes(nbNet)
     val m = 4000L
-    val key = "spark.sql.adaptive.coalescePartitions.enabled"
-    val saved = spark.conf.getOption(key)
-    spark.conf.set(key, "false") // keep the site groups in separate tasks
-    try {
-      val engine = MicroBatchEngine(nbNet, nb, EpsilonAllocation.Baseline(1e-6, nbNet.n), k, seed = 18L)
-      run(engine, ForwardSampler.events(spark, nbNet, m, k, seed = 19L), m, numBatches = 2)
-      val ref = new ExactCounterBank(nb.numCounters)
-      SequentialDriver.run(nb, ref, ForwardSampler.localEvents(nbNet, m, k, seed = 19L))
-      assert(engine.messages == nb.updatesPerEvent.toLong * m)
-      (0 until nb.numCounters).foreach { c =>
-        assert(engine.coordinator.estimate(c) == ref.count(c).toDouble, s"counter $c")
-      }
-    } finally saved match {
-      case Some(v) => spark.conf.set(key, v)
-      case None => spark.conf.unset(key)
+    val engine = MicroBatchEngine(nbNet, nb, EpsilonAllocation.Baseline(1e-6, nbNet.n), k, seed = 18L)
+    run(engine, ForwardSampler.events(spark, nbNet, m, k, seed = 19L), m, numBatches = 2)
+    val ref = new ExactCounterBank(nb.numCounters)
+    SequentialDriver.run(nb, ref, ForwardSampler.localEvents(nbNet, m, k, seed = 19L))
+    assert(engine.messages == nb.updatesPerEvent.toLong * m)
+    (0 until nb.numCounters).foreach { c =>
+      assert(engine.coordinator.estimate(c) == ref.count(c).toDouble, s"counter $c")
     }
+  }
+
+  test("a batch's site work runs in min(k, defaultParallelism) tasks that adaptive execution keeps apart") {
+    assert(spark.conf.get("spark.sql.adaptive.coalescePartitions.enabled") == "true")
+    val sc = spark.sparkContext
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 23L)
+    val batch = batchOf((0 until 40).map(i => Event(i.toLong, i % k, Array(0, 1, 1))): _*)
+    val group = "micro-batch-site-tasks"
+    sc.setJobGroup(group, "one micro-batch")
+    try engine.processBatch(spark, batch) finally sc.clearJobGroup()
+    // The status store is filled from the listener bus, so it may lag the job.
+    val siteTasks = eventually(Timeout(Span(30, Seconds))) {
+      val job = sc.statusTracker.getJobInfo(sc.statusTracker.getJobIdsForGroup(group).max).get
+      assert(job.status == JobExecutionStatus.SUCCEEDED)
+      sc.statusTracker.getStageInfo(job.stageIds.max).get.numTasks // the job's final stage
+    }
+    assert(siteTasks == math.min(k, sc.defaultParallelism))
   }
 
   private def batchOf(events: Event*): Dataset[Event] = {
