@@ -21,9 +21,9 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCou
   * min(k, defaultParallelism) RDD tasks, which adaptive query execution
   * cannot coalesce; a task groups its events by site and runs one site
   * task per site. A site task counts on a clone of its site's array
-  * through `Site.increment`, with the reporting
-  * probabilities the coordinator published at the start of the batch, so
-  * its coins are the ones the sequential bank draws. Within a batch p is
+  * through `Site.increment`, with the reporting probabilities the
+  * coordinator published at the start of the batch, so its coins are the
+  * ones the sequential bank draws. Within a batch p is
   * fixed, so a site's reports depend only on its local counts, not on the
   * order of its events, and each report replaces the last one in the
   * coordinator's estimate. A site task therefore returns one `SiteRow`,
