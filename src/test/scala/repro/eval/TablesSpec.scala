@@ -37,6 +37,18 @@ class TablesSpec extends SparkSpec {
     assert(result("exactmle").errVsTruth == errVsTruth)
   }
 
+  test("runDataset on ALARM stays what was recorded: messages and metric bits of every algorithm") {
+    val row = Tables.runDataset(spark, Networks.alarm, m = 5000, k = 30, eps = 0.1, seed = 13L,
+      nTests = 500, runs = 2, Some(0.05))
+    def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
+    val got = row.results.map(a => (a.algo, a.messages, bits(a.clsErr), bits(a.errVsTruth), bits(a.errVsMle)))
+    assert(got == Seq(
+      ("exactmle", 370000L, 4594139994279152452L, 4580915604135401513L, 0L),
+      ("baseline", 103947L, 4594139994279152452L, 4588000903608816874L, 4587064143757045436L),
+      ("uniform", 97888L, 4594212051873190380L, 4588990951888472522L, 4588047381564576933L),
+      ("nonuniform", 99921L, 4594176023076171416L, 4588557750515237922L, 4587710350569385748L)))
+  }
+
   test("a failure of the work beside the pass reaches the caller as raised") {
     // Every conditional probability is 1/128 < 0.01, so test-query generation gives up.
     val flat = new BayesianNetwork("flat", Array(128), Array(Array.empty[Int]),
