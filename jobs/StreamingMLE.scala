@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.streaming.Trigger
 import repro.bn.{Event, ForwardSampler}
 import repro.core.EpsilonAllocation
 import repro.counter.CounterLayout
@@ -11,11 +10,14 @@ import repro.sparkstream.MicroBatchEngine
 /** Structured Streaming entrypoint: maintain the Bayesian network with the
   * NONUNIFORM protocol over a live event stream.
   *
-  * A MemoryStream feeds forward-sampled events in arrival-order chunks;
-  * `foreachBatch` hands every micro-batch to the MicroBatchEngine, whose
-  * site tasks each return one summary row of their reports to the
-  * driver-side coordinator. Prints per-batch communication and the final
-  * model accuracy.
+  * A MemoryStream feeds forward-sampled events in arrival-order chunks of m/20,
+  * and each chunk is processed as one micro-batch before the next is
+  * added; `foreachBatch` hands every micro-batch to the MicroBatchEngine,
+  * whose site tasks each return one summary row of their reports to the
+  * driver-side coordinator. The reporting probabilities the coordinator
+  * publishes after a batch govern the next, so the counters leave p = 1 as
+  * the stream grows. Prints per-batch communication and the final model
+  * accuracy.
   */
 object StreamingMLE {
   def main(args: Array[String]): Unit = {
@@ -29,26 +31,27 @@ object StreamingMLE {
 
       implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
       val source = MemoryStream[Event]
-      // Enqueue the stream in arrival-order chunks (one block per addData);
-      // AvailableNow drains everything that is queued at start.
-      val m = JobSession.m
-      val chunk = math.max(1L, m / 20)
-      var lo = 0L
-      while (lo < m) {
-        val hi = math.min(m, lo + chunk)
-        source.addData((lo until hi).map(id =>
-          ForwardSampler.sampleEvent(net, JobSession.k, JobSession.seed, id)))
-        lo = hi
-      }
-
       val query = source.toDS().writeStream
-        .trigger(Trigger.AvailableNow())
         .foreachBatch { (batch: org.apache.spark.sql.Dataset[Event], batchId: Long) =>
           val msgs = engine.processBatch(spark, batch)
           Console.err.println(s"[streaming-mle] batch=$batchId messages=$msgs total=${engine.messages}")
         }
         .start()
-      query.awaitTermination()
+      // Enqueue the stream in arrival-order chunks and let each one finish
+      // as its own micro-batch, so the sites learn the refreshed p between
+      // batches.
+      try {
+        val m = JobSession.m
+        val chunk = math.max(1L, m / 20)
+        var lo = 0L
+        while (lo < m) {
+          val hi = math.min(m, lo + chunk)
+          source.addData((lo until hi).map(id =>
+            ForwardSampler.sampleEvent(net, JobSession.k, JobSession.seed, id)))
+          query.processAllAvailable()
+          lo = hi
+        }
+      } finally query.stop()
 
       val queries = TestQueries.condQueries(net, JobSession.nTests, 0.01, JobSession.seed)
       println(s"events=${engine.eventsProcessed} messages=${engine.messages} " +

@@ -135,6 +135,15 @@ class TablesSpec extends SparkSpec {
     assert(e.getMessage.contains("runs = 0"), e.getMessage)
   }
 
+  test("runDataset rejects fewer than one test event, naming the value") {
+    for (n <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException] {
+        Tables.runDataset(spark, msNet, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = n, runs = 1)
+      }
+      assert(e.getMessage.contains(s"nTests = $n"), e.getMessage)
+    }
+  }
+
   test("render produces an aligned table with all cells") {
     val s = Tables.render("t", Seq("a", "bb"), Seq(Seq("1", "2"), Seq("333", "4")))
     val lines = s.split("\n")
