@@ -11,8 +11,10 @@ import repro.counter.CounterLayout
   * (Lemma 5). On Spark this is one dense aggregation: every partition
   * counts its events into an array of `layout.numCounters` longs through
   * `CounterLayout.foreachUpdate`, the same update every counter bank
-  * receives, and the arrays are summed in a tree. Tests verify the counts
-  * against DuckDB via `repro.Oracle` and against `ExactCounterBank`.
+  * receives, and the arrays are summed in a tree. This is the Spark
+  * reference for the counts: tests verify them against DuckDB via
+  * `repro.Oracle` and against `ExactCounterBank`, the EXACTMLE bank that
+  * `Tables.runDataset` feeds in its protocol pass.
   */
 object SuffStats {
 

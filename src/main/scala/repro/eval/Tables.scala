@@ -45,7 +45,9 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * pass. Then each allocation's snapshots are evaluated on a thread of
   * their own while the caller evaluates EXACTMLE. The first failure, in
   * the order test events, classification tests, pass, evaluation, is
-  * rethrown as it was raised.
+  * rethrown as it was raised. No Spark job runs: `runDataset` keeps its
+  * `SparkSession` parameter only so that its callers keep their signature,
+  * and `SuffStats` remains the Spark reference for the exact counts.
   */
 object Tables {
 
@@ -57,9 +59,7 @@ object Tables {
     EpsilonAllocation.NonUniform(eps, net),
   )
 
-  /** @param spark  unused: the exact model comes from the protocol pass. Kept
-    *               so that callers compiled against this signature, the
-    *               jobs and the benchmark among them, still link.
+  /** @param spark  unused (see the class doc)
     * @param pScale reporting-probability scale of the distributed counters;
     *               None = the variance-honoring √(2k) (Lemma 4). Smaller
     *               values trade per-counter accuracy for communication —
@@ -74,8 +74,7 @@ object Tables {
     val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
     val allocs = allocations(eps, net)
-    val exact = new ExactCounterBank(layout.numCounters)
-    val banks = exact +: (for (alloc <- allocs; r <- 0 until runs) yield
+    val banks = new ExactCounterBank(layout.numCounters) +: (for (alloc <- allocs; r <- 0 until runs) yield
       new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed + 7919L * (r + 1), scale))
 
     val queriesTask = beside("tables-queries")(TestQueries.condQueries(net, nTests, minProb = 0.01, seed = seed))
@@ -103,6 +102,8 @@ object Tables {
         )
       }
     }
+    // EXACTMLE is evaluated on the caller's thread, as a task too, so that
+    // `await` raises the evaluation failures in algorithm order.
     val exactTask = new FutureTask[AlgoResult](() => AlgoResult(
       "exactmle",
       messages = finals.head.messages,
