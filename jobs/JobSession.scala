@@ -5,11 +5,9 @@ import org.apache.spark.sql.SparkSession
 /** Shared SparkSession setup for the spark-submit entrypoints. */
 object JobSession {
   def get(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   /** Env-tunable experiment scale (defaults = the paper's settings). */

@@ -3,9 +3,10 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.eval.{DatasetResult, Networks, Tables}
 
-/** Shared runner for the Table 2 / Table 3 grid (all datasets × all four
-  * algorithms at m = 50K, k = 30, ε = 0.1) plus the paper's reference
-  * numbers for side-by-side rendering.
+/** spark-submit entrypoint for Tables 2 and 3: runs the grid (all
+  * datasets × all four algorithms at m = 50K, k = 30, ε = 0.1) once and
+  * prints Table 2, Table 3 and the supplementary errors from it, each next
+  * to the paper's reference numbers.
   */
 object Table2And3 {
 
@@ -73,25 +74,14 @@ object Table2And3 {
     Tables.render("Supplementary: mean relative error of test-event probabilities",
       Seq("dataset", "metric") ++ Tables.algoNames, rows)
   }
-}
 
-/** spark-submit entrypoint for Table 2. */
-object Table2 {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table2")
-    try println(Table2And3.renderTable2(Table2And3.runAll(spark)))
-    finally spark.stop()
-  }
-}
-
-/** spark-submit entrypoint for Table 3. */
-object Table3 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table3")
+    val spark = JobSession.get("table2and3")
     try {
-      val rs = Table2And3.runAll(spark)
-      println(Table2And3.renderTable3(rs))
-      println(Table2And3.renderErrors(rs))
+      val rs = runAll(spark)
+      println(renderTable2(rs))
+      println(renderTable3(rs))
+      println(renderErrors(rs))
     } finally spark.stop()
   }
 }

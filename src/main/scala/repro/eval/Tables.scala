@@ -8,7 +8,7 @@ import org.apache.spark.sql.SparkSession
 import repro.bn.{BayesianNetwork, ForwardSampler}
 import repro.core.EpsilonAllocation
 import repro.counter.{Coordinator, CounterLayout, DistCounterBank, ExactCounterBank}
-import repro.stream.SequentialDriver
+import repro.stream.{SequentialDriver, Snapshot}
 
 /** One algorithm's outcome on one dataset (one table cell group). */
 final case class AlgoResult(
@@ -31,23 +31,23 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * sites, maintain the model with each algorithm, then evaluate 1000
   * conditional-probability test events and 1000 classification tests.
   *
-  * EXACTMLE is the protocol that forwards every counter update (Lemma 5):
-  * one `ExactCounterBank` whose final snapshot is the exact value of every
-  * counter, and whose messages, `updatesPerEvent · m`, are counted. The
-  * approximate algorithms run the monitoring protocol per-event; their
-  * metrics are medians over `runs` independent protocol seeds, as in the
-  * paper (median of five runs). The exact bank and every
-  * (allocation × run) bank are fed by one `SequentialDriver.runAll` pass
-  * over one stream, concurrently, so the banks of a call are all live at
+  * Every algorithm is a group of counter banks fed by one
+  * `SequentialDriver.runAll` pass over one stream. EXACTMLE is the protocol
+  * that forwards every counter update (Lemma 5): one `ExactCounterBank`,
+  * whose snapshots hold the exact value of every counter and whose messages
+  * are counted like those of any other bank. Each approximate algorithm is
+  * one `DistCounterBank` per protocol seed; its metrics are medians over
+  * `runs` seeds, as in the paper (median of five runs), and the median of
+  * EXACTMLE's one run is that run. The banks of a call are all live at
   * once (about 72 MB each on MUNIN at k = 30, 0.9 MB for the exact one),
   * and the stream is sampled once. The conditional test events and the
   * classification tests each run on a thread of their own beside that
-  * pass. Then each allocation's snapshots are evaluated on a thread of
-  * their own while the caller evaluates EXACTMLE. The first failure, in
-  * the order test events, classification tests, pass, evaluation, is
-  * rethrown as it was raised. No Spark job runs: `runDataset` keeps its
-  * `SparkSession` parameter only so that its callers keep their signature,
-  * and `SuffStats` remains the Spark reference for the exact counts.
+  * pass; then each algorithm is evaluated on a thread of its own. The
+  * first failure, in the order test events, classification tests, pass,
+  * evaluation, is rethrown as it was raised. No Spark job runs:
+  * `runDataset` keeps its `SparkSession` parameter only so that its
+  * callers keep their signature, and `SuffStats` remains the Spark
+  * reference for the exact counts.
   */
 object Tables {
 
@@ -69,32 +69,28 @@ object Tables {
   def runDataset(spark: SparkSession, net: BayesianNetwork, m: Long, k: Int,
                  eps: Double, seed: Long, nTests: Int, runs: Int,
                  pScale: Option[Double] = None): DatasetResult = {
+    require(m >= 1, s"m = $m, expected at least 1")
     require(runs >= 1, s"runs = $runs, expected at least 1")
     require(nTests >= 1, s"nTests = $nTests, expected at least 1")
-    val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
-    val allocs = allocations(eps, net)
-    val banks = new ExactCounterBank(layout.numCounters) +: (for (alloc <- allocs; r <- 0 until runs) yield
-      new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed + 7919L * (r + 1), scale))
-
     val queriesTask = beside("tables-queries")(TestQueries.condQueries(net, nTests, minProb = 0.01, seed = seed))
     val testsTask = beside("tables-tests")(TestQueries.clsTests(net, nTests, seed))
-    val pass = Try(SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, m, k, seed)))
+    val snaps = Try(pass(net, layout, Seq(m), k, eps, seed, (1 to runs).map(seed + 7919L * _), pScale))
     SequentialDriver.await(Seq(queriesTask, testsTask))
-    val finals = pass.get.map(_.last)
+    val finals = snaps.get.map(_.map(_.last))
     val queries = queriesTask.get()
     val tests = testsTask.get()
-    val exactModel = finals.head.model(net, layout)
+    val exactModel = finals.head.head.model(net, layout)
 
-    val approxTasks = allocs.zip(finals.tail.grouped(runs).toSeq).map { case (alloc, snaps) =>
-      beside(s"tables-eval-${alloc.name}") {
-        val perRun = snaps.map { snap =>
+    val evaluated = algoNames.zip(finals).map { case (algo, runSnaps) =>
+      beside(s"tables-eval-$algo") {
+        val perRun = runSnaps.map { snap =>
           val model = snap.model(net, layout)
           (snap.messages, Metrics.classificationError(model, tests),
             Metrics.relErrVsTruth(model, queries), Metrics.relErrVsRef(model, exactModel, queries))
         }
         AlgoResult(
-          alloc.name,
+          algo,
           messages = Metrics.median(perRun.map(_._1.toDouble)).round,
           clsErr = Metrics.median(perRun.map(_._2)),
           errVsTruth = Metrics.median(perRun.map(_._3)),
@@ -102,19 +98,7 @@ object Tables {
         )
       }
     }
-    // EXACTMLE is evaluated on the caller's thread, as a task too, so that
-    // `await` raises the evaluation failures in algorithm order.
-    val exactTask = new FutureTask[AlgoResult](() => AlgoResult(
-      "exactmle",
-      messages = finals.head.messages,
-      clsErr = Metrics.classificationError(exactModel, tests),
-      errVsTruth = Metrics.relErrVsTruth(exactModel, queries),
-      errVsMle = 0.0,
-    ))
-    exactTask.run()
-    val evaluated = exactTask +: approxTasks
     SequentialDriver.await(evaluated)
-
     DatasetResult(net.name, m, k, eps, evaluated.map(_.get()))
   }
 
@@ -129,22 +113,33 @@ object Tables {
 
   /** Communication only, no model evaluation: each algorithm's site →
     * coordinator messages after each of the first `ms` events of one
-    * stream, at protocol seed `seed`, in the order of `ms`. EXACTMLE is its
-    * analytic `updatesPerEvent · m`. One pass feeds every allocation's bank;
-    * Table 3's calibrated companion, Figure 9 and Figure 11(b) read it.
-    * `pScale` as in `runDataset`.
+    * stream, at protocol seed `seed`, in the order of `ms`. One pass feeds
+    * every algorithm's bank; Table 3's calibrated companion, Figure 9 and
+    * Figure 11(b) read it. `pScale` as in `runDataset`.
     */
   def messageCounts(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long,
                     pScale: Option[Double]): Map[String, Seq[Long]] = {
     require(ms.nonEmpty, "ms is empty, expected at least one checkpoint")
     ms.foreach(m => require(m > 0, s"checkpoint m = $m in ms, expected m > 0"))
+    val snaps = pass(net, CounterLayout.standard(net), ms, k, eps, seed, Seq(seed), pScale)
+    algoNames.zip(snaps.map(_.head)).map { case (algo, s) =>
+      algo -> ms.map(m => s.find(_.m == m).get.messages)
+    }.toMap
+  }
+
+  /** One `SequentialDriver.runAll` over the first `ms.max` events of the
+    * stream at `seed`, snapshotting at `ms`. Its banks are EXACTMLE's, then
+    * one per (allocation, protocol seed); returns each algorithm's banks'
+    * snapshots, in `algoNames` order.
+    */
+  private def pass(net: BayesianNetwork, layout: CounterLayout, ms: Seq[Long], k: Int, eps: Double,
+                   seed: Long, protocolSeeds: Seq[Long], pScale: Option[Double]): Seq[Seq[Seq[Snapshot]]] = {
     val scale = pScale.getOrElse(Coordinator.theoryScale(k))
-    val layout = CounterLayout.standard(net)
-    val allocs = allocations(eps, net)
-    val banks = allocs.map(a => new DistCounterBank(layout.numCounters, k, a.epsArray(layout), seed, scale))
+    val banks = new ExactCounterBank(layout.numCounters) +:
+      (for (a <- allocations(eps, net); s <- protocolSeeds)
+        yield new DistCounterBank(layout.numCounters, k, a.epsArray(layout), s, scale))
     val snaps = SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, ms.max, k, seed), ms)
-    val approx = allocs.zip(snaps).map { case (a, s) => a.name -> ms.map(m => s.find(_.m == m).get.messages) }
-    (("exactmle" -> ms.map(layout.updatesPerEvent.toLong * _)) +: approx).toMap
+    Seq(snaps.head) +: snaps.tail.grouped(protocolSeeds.size).toSeq
   }
 
   /** Fixed-width table printer: header row + one line per dataset. */

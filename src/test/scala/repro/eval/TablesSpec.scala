@@ -96,6 +96,11 @@ class TablesSpec extends SparkSpec {
     assert(counts("exactmle") == ms.map(msLayout.updatesPerEvent.toLong * _))
   }
 
+  test("messageCounts counts the exactmle messages that runDataset does") {
+    assert(Tables.messageCounts(TestNets.random20, Seq(8000L), 5, 0.5, 21L, None)("exactmle") ==
+      Seq(result("exactmle").messages))
+  }
+
   test("messageCounts equals a separate pass per allocation and m") {
     for (alloc <- Tables.allocations(0.5, msNet); (m, got) <- ms.zip(counts(alloc.name))) {
       val bank = new DistCounterBank(msLayout.numCounters, 5, alloc.epsArray(msLayout), 31L, 2.0)
@@ -126,6 +131,15 @@ class TablesSpec extends SparkSpec {
   test("messageCounts rejects a non-positive checkpoint, naming it") {
     val e = intercept[IllegalArgumentException](Tables.messageCounts(msNet, Seq(0L, 1000L), 5, 0.5, 31L, None))
     assert(e.getMessage.contains("checkpoint m = 0"), e.getMessage)
+  }
+
+  test("runDataset rejects fewer than one event, naming the value") {
+    for (m <- Seq(0L, -1L)) {
+      val e = intercept[IllegalArgumentException] {
+        Tables.runDataset(spark, msNet, m = m, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 1)
+      }
+      assert(e.getMessage.contains(s"m = $m"), e.getMessage)
+    }
   }
 
   test("runDataset rejects fewer than one run, naming the value") {
