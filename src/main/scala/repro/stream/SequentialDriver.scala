@@ -31,10 +31,12 @@ final case class Snapshot(m: Long, messages: Long, estimates: Array[Double]) {
   * chunks of up to `chunkEvents` events, and groups each chunk's
   * increments by counter with a stable counting sort. Every bank then
   * consumes the chunk as its own task on a small daemon pool, counter by
-  * counter in ascending order, while the next chunk is being read; a bank
-  * whose state is counter-major (`DistCounterBank`) so walks its memory in
-  * order. Chunks end at checkpoints, and a bank starts a chunk only after
-  * every bank has finished the previous one.
+  * counter in ascending order, while the next chunk is being read: one
+  * `CounterBank.feed` call per counter the chunk touches, with that
+  * counter's run of increments. A bank whose state is counter-major
+  * (`DistCounterBank`) so walks its memory in order, and checks a
+  * counter's regime once per run. Chunks end at checkpoints, and a bank
+  * starts a chunk only after every bank has finished the previous one.
   *
   * HYZ counters are independent: only counter c's own increments touch
   * its state, and the sort keeps them in stream order. Each bank therefore
@@ -134,10 +136,10 @@ object SequentialDriver {
     def feed(b: Int, c: Chunk): Unit = {
       val bank = bs(b)
       var counter = 0
-      var i = 0
       while (counter < numCounters) {
-        val stop = c.start(counter + 1)
-        while (i < stop) { bank.increment(c.sites(i), counter); i += 1 }
+        val from = c.start(counter)
+        val until = c.start(counter + 1)
+        if (from < until) bank.feed(counter, c.sites, from, until)
         counter += 1
       }
       if (c.snapshot)

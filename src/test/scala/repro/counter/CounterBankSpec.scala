@@ -22,6 +22,17 @@ class ExactCounterBankSpec extends AnyFunSuite {
     (0 until 123).foreach(t => bank.increment(t % 4, t % 5))
     assert(bank.messages == 123L)
   }
+
+  test("feed counts a run like as many increments") {
+    val fed = new ExactCounterBank(3)
+    val single = new ExactCounterBank(3)
+    val sites = Array(0, 2, 1, 1, 0)
+    fed.feed(1, sites, 1, 5)
+    (1 until 5).foreach(i => single.increment(sites(i), 1))
+    assert((0 until 3).map(fed.count) == (0 until 3).map(single.count))
+    assert(fed.count(1) == 4L)
+    assert(fed.messages == single.messages)
+  }
 }
 
 class CoordinatorSpec extends AnyFunSuite {
@@ -241,6 +252,123 @@ class DistCounterBankSpec extends AnyFunSuite {
     }
     assert(pass(EpsilonAllocation.Uniform(0.1, net.n)) == ((30747L, -1276394207)))
     assert(pass(EpsilonAllocation.NonUniform(0.1, net)) == ((32125L, 2004789090)))
+  }
+
+  /** Error parameters of two counters at `pScale`, counter 1's leaving the
+    * exact regime at about `limit` increments.
+    */
+  private def boundaryEps(pScale: Double, limit: Int): Array[Double] = Array(0.3, pScale / (limit - 0.5))
+
+  private def boundaryBank(k: Int, pScale: Double, limit: Int, seed: Long): DistCounterBank =
+    new DistCounterBank(2, k, boundaryEps(pScale, limit), seed, pScale)
+
+  /** The protocol written out one increment at a time, as the bank ran it
+    * before it had an exact regime: every site starts at p = 1, and every
+    * report goes through `Coordinator.receive` and is acknowledged.
+    */
+  private final class Reference(k: Int, eps: Array[Double], seed: Long, pScale: Double) {
+    val coordinator = new Coordinator(eps.length, k, eps, pScale)
+    val local = new Array[Int](k * eps.length)
+    private val p = Array.fill(k * eps.length)(1.0)
+
+    def increment(site: Int, counter: Int): Unit = {
+      val j = counter * k + site
+      if (Site.increment(local, j, seed, site, eps.length, counter, p(j))) {
+        coordinator.receive(site, counter, local(j), 1.0 / p(j))
+        p(j) = coordinator.pFor(counter)
+      }
+    }
+  }
+
+  /** Messages, counter 1's estimate bits and local counts, and whether it is exact. */
+  private def state(bank: DistCounterBank, k: Int): (Long, Long, Seq[Int], Boolean) =
+    (bank.messages, java.lang.Double.doubleToLongBits(bank.estimate(1)),
+      (0 until k).map(bank.localCount(_, 1)), bank.inExactRegime(1))
+
+  private def state(ref: Reference, k: Int): (Long, Long, Seq[Int], Boolean) =
+    (ref.coordinator.messages, java.lang.Double.doubleToLongBits(ref.coordinator.estimate(1)),
+      (0 until k).map(s => ref.local(k + s)), ref.coordinator.pFor(1) == 1.0)
+
+  test("feeding runs split across the regime boundary equals incrementing one at a time, bit for bit") {
+    val k = 5
+    val total = 600
+    val sites = Array.tabulate(total)(t => Rng.uniformInt(k, 21L, t.toLong))
+    for (pScale <- Seq(0.05, Coordinator.theoryScale(k))) {
+      val ref = new Reference(k, boundaryEps(pScale, 60), 9L, pScale)
+      val single = boundaryBank(k, pScale, 60, 9L)
+      val limit = single.coordinator.exactLimit(1).toInt
+      assert(limit >= 55 && limit <= 65, s"pScale $pScale: limit $limit")
+      val expected = sites.indices.map { t =>
+        ref.increment(sites(t), 1)
+        single.increment(sites(t), 1)
+        assert(state(single, k) == state(ref, k), s"pScale $pScale increment $t")
+        state(ref, k)
+      }
+      assert(!expected.last._4, s"pScale $pScale: counter 1 never left the exact regime")
+      assert(expected.last._1 < total, s"pScale $pScale: every increment reported")
+      val fixedCuts = Seq(1, 7, limit - 2, limit - 1, limit, limit + 1, 130)
+      val randomCuts = (0 until 20).map(r => (0 until 6).map(c => Rng.uniformInt(total, 31L, r.toLong, c.toLong)))
+      for (cuts <- fixedCuts +: randomCuts) {
+        val fed = boundaryBank(k, pScale, 60, 9L)
+        val bounds = (0 +: cuts :+ total).distinct.sorted
+        bounds.zip(bounds.tail).foreach { case (from, until) =>
+          fed.feed(1, sites, from, until)
+          assert(state(fed, k) == expected(until - 1), s"pScale $pScale cuts $cuts after $until")
+        }
+        assert(fed.estimate(0) == 0.0)
+      }
+    }
+  }
+
+  test("after a pass the counters treated as exact are those with p = 1") {
+    val net = TestNets.random20
+    val layout = CounterLayout.standard(net)
+    val bank = new DistCounterBank(layout.numCounters, 30,
+      EpsilonAllocation.Uniform(0.1, net.n).epsArray(layout), 7L, 0.05)
+    SequentialDriver.runAll(layout, Seq(bank), ForwardSampler.localEvents(net, 3000, 30, 7L))
+    val (exact, sampled) = (0 until layout.numCounters).partition(bank.inExactRegime)
+    assert(exact.nonEmpty && sampled.nonEmpty, s"${exact.size} exact, ${sampled.size} sampled")
+    exact.foreach(c => assert(bank.coordinator.pFor(c) == 1.0, s"counter $c"))
+    sampled.foreach(c => assert(bank.coordinator.pFor(c) < 1.0, s"counter $c"))
+  }
+
+  test("an increment past Int.MaxValue fails, naming the site and counter, and counts nothing") {
+    val k = 4
+    for (exact <- Seq(true, false)) {
+      val bank = boundaryBank(k, 1.0, 3, 5L)
+      if (!exact) (0 until 3).foreach(t => bank.increment(t % k, 1))
+      assert(bank.inExactRegime(1) == exact)
+      bank.local(1 * k + 2) = Int.MaxValue
+      val before = state(bank, k)
+      val e = intercept[ArithmeticException](bank.increment(2, 1))
+      assert(e.getMessage.contains("site 2 counter 1"))
+      assert(state(bank, k) == before, s"exact $exact")
+      // In a run, the increments before the failing one stay counted.
+      val e2 = intercept[ArithmeticException](bank.feed(1, Array(3, 0, 2, 1), 1, 4))
+      assert(e2.getMessage.contains("site 2 counter 1"))
+      assert(bank.localCount(0, 1) == before._3(0) + 1)
+      assert(bank.localCount(2, 1) == Int.MaxValue)
+      assert(bank.localCount(1, 1) == before._3(1))
+      if (exact) {
+        assert(bank.messages == before._1 + 1)
+        assert(bank.estimate(1) == java.lang.Double.longBitsToDouble(before._2) + 1.0)
+      }
+    }
+  }
+
+  test("a site outside [0, k) is rejected, naming the site, in both regimes") {
+    val k = 4
+    for (exact <- Seq(true, false); site <- Seq(-1, k)) {
+      val bank = boundaryBank(k, 1.0, 3, 5L)
+      if (!exact) (0 until 3).foreach(t => bank.increment(t % k, 1))
+      assert(bank.inExactRegime(1) == exact)
+      val before = state(bank, k)
+      val e = intercept[IllegalArgumentException](bank.increment(site, 1))
+      assert(e.getMessage.contains(s"site $site outside [0, $k)"), s"exact $exact")
+      val e2 = intercept[IllegalArgumentException](bank.feed(1, Array(site), 0, 1))
+      assert(e2.getMessage.contains(s"site $site outside [0, $k)"), s"exact $exact")
+      assert(state(bank, k) == before, s"exact $exact site $site")
+    }
   }
 
   test("per-counter independence: a busy counter does not affect an idle one") {
