@@ -13,12 +13,7 @@ package repro.counter
   */
 trait CounterBank {
   def increment(site: Int, counter: Int): Unit
-
-  def feed(counter: Int, sites: Array[Int], from: Int, until: Int): Unit = {
-    var i = from
-    while (i < until) { increment(sites(i), counter); i += 1 }
-  }
-
+  def feed(counter: Int, sites: Array[Int], from: Int, until: Int): Unit
   def estimate(counter: Int): Double
   def messages: Long
 }
@@ -184,7 +179,8 @@ final class DistCounterBank(
   val coordinator = new Coordinator(numCounters, k, eps, pScale)
   private[counter] val local = new Array[Int](k * numCounters)
   private val pSite = new Array[Double](k * numCounters) // written when a counter leaves the regime
-  private val limit = Array.tabulate(numCounters)(coordinator.exactLimit)
+  private val limit = new Array[Double](numCounters)
+  for (c <- 0 until numCounters) limit(c) = coordinator.exactLimit(c)
 
   override def increment(site: Int, counter: Int): Unit =
     if (inExactRegime(counter)) {
