@@ -57,6 +57,7 @@ final class BayesianNetwork(
       s"cpt($i) has ${cpt(i).length} rows, expected K=${parentCard(i)}")
     cpt(i).zipWithIndex.foreach { case (row, u) =>
       require(row.length == card(i), s"cpt($i)($u) has ${row.length} entries, expected J=${card(i)}")
+      require(row.forall(_ >= 0.0), s"cpt($i)($u) has a negative entry")
       val s = row.sum
       require(math.abs(s - 1.0) < 1e-6, s"cpt($i)($u) sums to $s, expected 1.0")
     }
@@ -75,6 +76,23 @@ final class BayesianNetwork(
     var code = 0; var j = 0
     while (j < ps.length) { code += x(ps(j)) * st(j); j += 1 }
     code
+  }
+
+  /** `parentCode(i, ·)` of every event of a variable-major block of `count`
+    * events, whose variable j of event e is at `x(j·count + e)`: event e's
+    * goes to `codes(e)`. One parent at a time, over all the events.
+    */
+  def parentCodes(i: Int, x: Array[Int], count: Int, codes: Array[Int]): Unit = {
+    val ps = parents(i); val st = strides(i)
+    java.util.Arrays.fill(codes, 0, count, 0)
+    var j = 0
+    while (j < ps.length) {
+      val base = ps(j) * count
+      val s = st(j)
+      var e = 0
+      while (e < count) { codes(e) += x(base + e) * s; e += 1 }
+      j += 1
+    }
   }
 
   /** Decode a parent code back to the values of parents(i), in order. */
@@ -101,17 +119,64 @@ final class BayesianNetwork(
     * needs no later variable.
     */
   def samplePrefix(seed: Long, id: Long, len: Int): Array[Int] = {
-    val x = new Array[Int](len)
+    val x = new Array[Int](len); sampleBlock(seed, id, 1, len, x); x
+  }
+
+  /** `sample(seed, id)` for the ids `from until from + count`. */
+  def samples(seed: Long, from: Long, count: Int): Array[Array[Int]] = {
+    val block = new Array[Int](n * count)
+    sampleBlock(seed, from, count, n, block)
+    val xs = new Array[Array[Int]](count)
+    var e = 0
+    while (e < count) {
+      val x = new Array[Int](n)
+      var i = 0
+      while (i < n) { x(i) = block(i * count + e); i += 1 }
+      xs(e) = x
+      e += 1
+    }
+    xs
+  }
+
+  /** The program's one sampler: ancestral sampling of the events with ids
+    * `from until from + count` over their first `len` variables, written
+    * variable-major, variable i of event `from + e` at `out(i·count + e)`.
+    * That value's coin is `Rng.uniform(seed, from + e, i)`, so each event
+    * is `samplePrefix(seed, from + e, len)` bit for bit; the (seed, id)
+    * half of the hash is mixed once per event.
+    *
+    * The value drawn is the least v whose cumulative mass
+    * `row(0) + … + row(v)`, summed left to right, reaches the coin, or
+    * J − 1 if none below it does. The entries are non-negative, so the
+    * sums only grow, and v is also how many of the first J − 1 sums stay
+    * under the coin: a count that needs no branch on the coin.
+    * Within a variable the events are independent chains the CPU can
+    * overlap, and the variable's parents and CPT rows stay in cache.
+    */
+  def sampleBlock(seed: Long, from: Long, count: Int, len: Int, out: Array[Int]): Unit = {
+    require(len >= 0 && len <= n, s"len = $len outside [0, $n]")
+    require(out.length >= len * count, s"block holds ${out.length} values, expected ${len * count}")
+    val keys = new Array[Long](count)
+    val codes = new Array[Int](count)
+    var e = 0
+    while (e < count) { keys(e) = Rng.key(seed, from + e); e += 1 }
     var i = 0
     while (i < len) {
-      val row = cpt(i)(parentCode(i, x))
-      val r = Rng.uniform(seed, id, i.toLong)
-      var v = 0; var acc = row(0)
-      while (acc < r && v < card(i) - 1) { v += 1; acc += row(v) }
-      x(i) = v
+      val rows = cpt(i)
+      val last = card(i) - 1
+      val base = i * count
+      parentCodes(i, out, count, codes)
+      e = 0
+      while (e < count) {
+        val row = rows(codes(e))
+        val r = Rng.uniformAt(keys(e), i.toLong)
+        var v = 0; var w = 0; var acc = row(0)
+        while (w < last) { if (acc < r) v += 1; w += 1; acc += row(w) }
+        out(base + e) = v
+        e += 1
+      }
       i += 1
     }
-    x
   }
 
   /** Exact joint probability of a full assignment under the ground truth. */

@@ -9,9 +9,10 @@ package repro.counter
   * `estimate(c)` is the coordinator's current view; `messages` is the
   * total upstream communication (site → coordinator messages, each
   * carrying a single counter update — the unit the paper's experiments
-  * count).
+  * count). The bank takes increments of sites in [0, k).
   */
 trait CounterBank {
+  def k: Int
   def increment(site: Int, counter: Int): Unit
   def feed(counter: Int, sites: Array[Int], from: Int, until: Int): Unit
   def estimate(counter: Int): Double
@@ -25,6 +26,9 @@ trait CounterBank {
 final class ExactCounterBank(numCounters: Int) extends CounterBank {
   private val counts = new Array[Long](numCounters)
   private var msgs = 0L
+
+  /** Holds nothing per site, so takes any site ≥ 0. */
+  override def k: Int = Int.MaxValue
 
   override def increment(site: Int, counter: Int): Unit = {
     counts(counter) += 1
@@ -170,7 +174,7 @@ object Coordinator {
   */
 final class DistCounterBank(
     numCounters: Int,
-    k: Int,
+    val k: Int,
     eps: Array[Double],
     seed: Long,
     pScale: Double,

@@ -54,6 +54,44 @@ final class CounterLayout private (
     }
   }
 
+  /** `foreachUpdate` for a variable-major block of `count` events, whose
+    * variable i of event e is at `x(i·count + e)`. The ids go to `ids` in
+    * `updatesPerEvent` rows of `count`, event e's at `row·count + e`: a
+    * row per variable i for its child counters and, where `foreachUpdate`
+    * counts one, a row after it for its parent counters. Every counter
+    * belongs to one variable, so its ids lie in one row, in event order.
+    * Variable i's values are checked against dom(Xᵢ), as in
+    * `foreachUpdate`, before any id of theirs is computed; its parents'
+    * were checked before it.
+    */
+  def blockUpdates(x: Array[Int], count: Int, ids: Array[Int]): Unit = {
+    val codes = new Array[Int](count)
+    var row = 0
+    var i = 0
+    while (i < net.n) {
+      val card = net.card(i)
+      val base = i * count
+      var e = 0
+      while (e < count) {
+        val v = x(base + e)
+        if (v < 0 || v >= card) throw new IllegalArgumentException(s"x($i) = $v outside [0, $card)")
+        e += 1
+      }
+      val child = row * count
+      val parent = if (i == 0 || !sharedParents) child + count else -1
+      row += (if (parent < 0) 1 else 2)
+      net.parentCodes(i, x, count, codes)
+      e = 0
+      while (e < count) {
+        val u = codes(e)
+        ids(child + e) = childCounter(i, x(base + e), u)
+        if (parent >= 0) ids(parent + e) = parentCounter(i, u)
+        e += 1
+      }
+      i += 1
+    }
+  }
+
   /** Number of distinct counters one event increments. */
   def updatesPerEvent: Int = if (sharedParents) net.n + 1 else 2 * net.n
 }

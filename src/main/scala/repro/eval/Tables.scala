@@ -40,12 +40,14 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * `runs` seeds, as in the paper (median of five runs), and the median of
   * EXACTMLE's one run is that run. The banks of a call are all live at
   * once (about 72 MB each on MUNIN at k = 30, 0.9 MB for the exact one),
-  * and the stream is sampled once. The conditional test events and the
-  * classification tests each run on a thread of their own beside that
-  * pass; then each algorithm is evaluated on a thread of its own. The
-  * first failure, in the order test events, classification tests, pass,
-  * evaluation, is rethrown as it was raised. No Spark job runs:
-  * `runDataset` keeps its `SparkSession` parameter only so that its
+  * and the stream is sampled once, a chunk at a time straight into the
+  * pass's variable-major block (`ForwardSampler.source`), with no `Event`
+  * in between. The conditional test events and the classification tests
+  * (sampled a block at a time too) each run on a thread of their own
+  * beside that pass; then each algorithm is evaluated on a thread of its
+  * own. The first failure, in the order test events, classification
+  * tests, pass, evaluation, is rethrown as it was raised. No Spark job
+  * runs: `runDataset` keeps its `SparkSession` parameter only so that its
   * callers keep their signature, and `SuffStats` remains the Spark
   * reference for the exact counts.
   */
@@ -138,7 +140,7 @@ object Tables {
     val banks = new ExactCounterBank(layout.numCounters) +:
       (for (a <- allocations(eps, net); s <- protocolSeeds)
         yield new DistCounterBank(layout.numCounters, k, a.epsArray(layout), s, scale))
-    val snaps = SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, ms.max, k, seed), ms)
+    val snaps = SequentialDriver.runAll(layout, banks, ForwardSampler.source(net, ms.max, k, seed), ms)
     Seq(snaps.head) +: snaps.tail.grouped(protocolSeeds.size).toSeq
   }
 

@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.bn.BayesianNetwork
+import repro.bn.{BayesianNetwork, ForwardSampler}
 import repro.core.BNModel
 import repro.util.Rng
 
@@ -44,11 +44,23 @@ object TestQueries {
     out.result()
   }
 
-  /** Sample `count` classification tests. */
-  def clsTests(net: BayesianNetwork, count: Int, seed: Long): IndexedSeq[ClsTest] =
-    IndexedSeq.tabulate(count) { t =>
-      ClsTest(net.sample(seed ^ 0xc1a55L, t.toLong), Rng.uniformInt(net.n, seed, 0xc1a56L, t.toLong))
+  /** Sample `count` classification tests; test t's instance is
+    * `net.sample(seed ^ 0xc1a55L, t)`, drawn a block at a time.
+    */
+  def clsTests(net: BayesianNetwork, count: Int, seed: Long): IndexedSeq[ClsTest] = {
+    val out = IndexedSeq.newBuilder[ClsTest]
+    var from = 0
+    while (from < count) {
+      val xs = net.samples(seed ^ 0xc1a55L, from, math.min(ForwardSampler.blockEvents, count - from))
+      var e = 0
+      while (e < xs.length) {
+        out += ClsTest(xs(e), Rng.uniformInt(net.n, seed, 0xc1a56L, from.toLong + e))
+        e += 1
+      }
+      from += xs.length
     }
+    out.result()
+  }
 }
 
 /** Accuracy metrics over the test events. */

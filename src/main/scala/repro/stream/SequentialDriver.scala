@@ -2,7 +2,7 @@ package repro.stream
 
 import java.util.concurrent.{ExecutionException, ExecutorService, Executors, Future}
 
-import repro.bn.{BayesianNetwork, Event}
+import repro.bn.{BayesianNetwork, Event, EventSource}
 import repro.core.BNModel
 import repro.counter.{CounterBank, CounterLayout}
 
@@ -26,23 +26,28 @@ final case class Snapshot(m: Long, messages: Long, estimates: Array[Double]) {
   * increments turn into messages. Checkpoints snapshot the coordinator
   * state so accuracy-vs-m curves come from a single pass.
   *
-  * Several banks (one per allocation and run) share one pass: the caller's
-  * thread pulls each event once and computes its counter ids once, in
-  * chunks of up to `chunkEvents` events, and groups each chunk's
-  * increments by counter with a stable counting sort. Every bank then
-  * consumes the chunk as its own task on a small daemon pool, counter by
-  * counter in ascending order, while the next chunk is being read: one
-  * `CounterBank.feed` call per counter the chunk touches, with that
-  * counter's run of increments. A bank whose state is counter-major
-  * (`DistCounterBank`) so walks its memory in order, and checks a
-  * counter's regime once per run. Chunks end at checkpoints, and a bank
-  * starts a chunk only after every bank has finished the previous one.
+  * Several banks (one per allocation and run) share one pass. The
+  * caller's thread reads the stream in chunks of up to `chunkEvents`
+  * events, each into one variable-major block of n × `chunkEvents` values
+  * (`EventSource.read`; the sampled source fills it with one
+  * `BayesianNetwork.sampleBlock` call and builds no `Event`), computes the
+  * chunk's counter ids once, variable by variable
+  * (`CounterLayout.blockUpdates`), and groups its increments by counter
+  * with a stable counting sort. Every bank then consumes the chunk as its
+  * own task on a small daemon pool, counter by counter in ascending order,
+  * while the next chunk is being read: one `CounterBank.feed` call per
+  * counter the chunk touches, with that counter's run of increments. A
+  * bank whose state is counter-major (`DistCounterBank`) so walks its
+  * memory in order, and checks a counter's regime once per run. Chunks end
+  * at checkpoints, and a bank starts a chunk only after every bank has
+  * finished the previous one.
   *
   * HYZ counters are independent: only counter c's own increments touch
-  * its state, and the sort keeps them in stream order. Each bank therefore
-  * sees every counter's increments in exactly the order of an event-by-event
-  * pass of its own, and its messages (a sum over counters) and estimates
-  * are the same bit for bit.
+  * its state. Every counter belongs to one variable, so its ids lie in one
+  * row of the variable-major ids, in event order, and the sort keeps them
+  * in stream order. Each bank therefore sees every counter's increments in
+  * exactly the order of an event-by-event pass of its own, and its
+  * messages (a sum over counters) and estimates are the same bit for bit.
   */
 object SequentialDriver {
 
@@ -74,13 +79,23 @@ object SequentialDriver {
           checkpoints: Seq[Long] = Seq.empty): Seq[Snapshot] =
     runAll(layout, Seq(bank), events, checkpoints).head
 
+  /** `runAll` over the events of an iterator, each read into the pass's
+    * block as it enters: one that does not hold `layout.net.n` values, or
+    * is routed to a site outside [0, k) of a bank, is rejected before any
+    * bank counts it.
+    */
+  def runAll(layout: CounterLayout, banks: Seq[CounterBank], events: Iterator[Event],
+             checkpoints: Seq[Long] = Seq.empty): Seq[Seq[Snapshot]] =
+    runAll(layout, banks, EventSource(events, layout.net.n, banks.foldLeft(Int.MaxValue)(_ min _.k)),
+      checkpoints)
+
   /** `run` for every bank over the same single pass of `events`; returns
     * each bank's snapshots, in the order of `banks`. An exception of a
     * bank or of the input is rethrown as it was raised, once no bank is
     * running any more.
     */
-  def runAll(layout: CounterLayout, banks: Seq[CounterBank], events: Iterator[Event],
-             checkpoints: Seq[Long] = Seq.empty): Seq[Seq[Snapshot]] = {
+  def runAll(layout: CounterLayout, banks: Seq[CounterBank], events: EventSource,
+             checkpoints: Seq[Long]): Seq[Seq[Snapshot]] = {
     val upe = layout.updatesPerEvent
     val numCounters = layout.numCounters
     val cps = checkpoints.filter(_ > 0).distinct.sorted.iterator.buffered
@@ -88,48 +103,47 @@ object SequentialDriver {
     val out = bs.map(_ => Seq.newBuilder[Snapshot])
 
     // The caller's thread reads a chunk into these before grouping it.
+    val block = new Array[Int](layout.net.n * chunkEvents)
     val eventSites = new Array[Int](chunkEvents)
     val ids = new Array[Int](chunkEvents * upe)
     val next = new Array[Int](numCounters)
 
     def fill(c: Chunk, from: Long): Unit = {
       val limit = if (cps.hasNext) math.min(chunkEvents.toLong, cps.head - from).toInt else chunkEvents
-      var n = 0
-      var j = 0
-      while (n < limit && events.hasNext) {
-        val e = events.next()
-        eventSites(n) = e.site
-        layout.foreachUpdate(e.x) { id => ids(j) = id; j += 1 }
-        n += 1
-      }
-      group(c, n, j)
+      val n = events.read(limit, block, eventSites)
+      layout.blockUpdates(block, n, ids)
+      group(c, n)
       c.end = from + n
       val atCheckpoint = cps.hasNext && cps.head == c.end
       if (atCheckpoint) cps.next()
       c.snapshot = atCheckpoint || !events.hasNext
     }
 
-    /** Stable counting sort of the `n` events' `size` increments by counter. */
-    def group(c: Chunk, n: Int, size: Int): Unit = {
+    /** Stable counting sort of the `n` events' increments by counter. Each
+      * counter's ids lie in one row of `ids`, in event order, so scattering
+      * the rows one after another keeps every counter's increments in
+      * stream order.
+      */
+    def group(c: Chunk, n: Int): Unit = {
       val start = c.start
+      val size = n * upe
       java.util.Arrays.fill(start, 0)
       var i = 0
       while (i < size) { start(ids(i) + 1) += 1; i += 1 }
       var counter = 0
       while (counter < numCounters) { start(counter + 1) += start(counter); counter += 1 }
       System.arraycopy(start, 0, next, 0, numCounters)
-      var e = 0
       i = 0
-      while (e < n) {
-        val site = eventSites(e)
-        val stop = i + upe
+      while (i < size) {
+        val stop = i + n
+        var e = 0
         while (i < stop) {
           val id = ids(i)
-          c.sites(next(id)) = site
+          c.sites(next(id)) = eventSites(e)
           next(id) += 1
+          e += 1
           i += 1
         }
-        e += 1
       }
     }
 

@@ -23,11 +23,21 @@ object Rng {
 
   /** Combine up to four coordinates into one well-mixed 64-bit value. */
   def hash(a: Long, b: Long, c: Long = 0L, d: Long = 0L): Long =
-    mix64(mix64(mix64(mix64(a) ^ b) ^ c) ^ d)
+    mix64(mix64(key(a, b) ^ c) ^ d)
+
+  /** The (a, b) half of `hash`, mixed once for many (c, d):
+    * `hash(a, b, c, d) == mix64(mix64(key(a, b) ^ c) ^ d)`.
+    */
+  def key(a: Long, b: Long): Long = mix64(mix64(a) ^ b)
 
   /** Uniform double in [0, 1) from hashed coordinates. */
   def uniform(a: Long, b: Long, c: Long = 0L, d: Long = 0L): Double =
-    (hash(a, b, c, d) >>> 11) * 1.1102230246251565e-16 // 2^-53
+    unit(hash(a, b, c, d))
+
+  /** `uniform(a, b, c)` from `key(a, b)`, bit for bit. */
+  def uniformAt(key: Long, c: Long): Double = unit(mix64(mix64(key ^ c) ^ 0L))
+
+  private def unit(h: Long): Double = (h >>> 11) * 1.1102230246251565e-16 // 2^-53
 
   /** Uniform int in [0, n) from hashed coordinates. */
   def uniformInt(n: Int, a: Long, b: Long, c: Long = 0L, d: Long = 0L): Int = {

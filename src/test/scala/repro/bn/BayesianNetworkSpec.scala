@@ -1,6 +1,8 @@
 package repro.bn
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.Networks
+import repro.util.Rng
 
 /** Tiny hand-built networks used across suites. */
 object TestNets {
@@ -112,6 +114,43 @@ class BayesianNetworkSpec extends AnyFunSuite {
       assert(net.samplePrefix(3L, id, len).sameElements(net.sample(3L, id).take(len)))
   }
 
+  /** Ancestral sampling of one event, each value scanned out of its CPT
+    * row with an early exit: the reference the block sampler must match.
+    */
+  private def scanned(net: BayesianNetwork, seed: Long, id: Long, len: Int): Array[Int] = {
+    val x = new Array[Int](len)
+    for (i <- 0 until len) {
+      val row = net.cpt(i)(net.parentCode(i, x))
+      val r = Rng.uniform(seed, id, i.toLong)
+      var v = 0; var acc = row(0)
+      while (acc < r && v < net.card(i) - 1) { v += 1; acc += row(v) }
+      x(i) = v
+    }
+    x
+  }
+
+  test("sampleBlock equals sample, samplePrefix and a per-event scan, bit for bit") {
+    for (net <- Seq(chain, random20, Networks.alarm, Networks.munin); seed <- Seq(5L, -3L);
+         from <- Seq(0L, 777L, 1L << 40); count <- Seq(1, 7, 256);
+         len <- Seq(net.n, net.n / 2).distinct) {
+      val block = new Array[Int](len * count)
+      net.sampleBlock(seed, from, count, len, block)
+      for (e <- 0 until count) {
+        val x = Array.tabulate(len)(i => block(i * count + e))
+        val at = s"${net.name} seed $seed id ${from + e} of a block of $count, len $len"
+        assert(x.sameElements(scanned(net, seed, from + e, len)), at)
+        assert(x.sameElements(net.samplePrefix(seed, from + e, len)), at)
+        if (len == net.n) assert(x.sameElements(net.sample(seed, from + e)), at)
+      }
+    }
+  }
+
+  test("samples are sample at consecutive ids") {
+    val xs = random20.samples(9L, 1000L, 300)
+    assert(xs.length == 300)
+    xs.indices.foreach(e => assert(xs(e).sameElements(random20.sample(9L, 1000L + e))))
+  }
+
   test("sample is deterministic in (seed, id)") {
     assert(chain.sample(5L, 17L).toSeq == chain.sample(5L, 17L).toSeq)
     assert(random20.sample(5L, 17L).toSeq == random20.sample(5L, 17L).toSeq)
@@ -156,6 +195,13 @@ class BayesianNetworkSpec extends AnyFunSuite {
       new BayesianNetwork("bad", Array(2), Array(Array.empty[Int]),
         Array(Array(Array(0.5, 0.6))))
     }
+  }
+
+  test("constructor rejects a negative CPT entry") {
+    val e = intercept[IllegalArgumentException] {
+      new BayesianNetwork("bad", Array(3), Array(Array.empty[Int]), Array(Array(Array(0.6, -0.1, 0.5))))
+    }
+    assert(e.getMessage.contains("cpt(0)(0) has a negative entry"))
   }
 
   test("constructor rejects CPT with wrong number of rows") {

@@ -117,4 +117,31 @@ class CounterLayoutSpec extends AnyFunSuite {
   test("naiveBayes layout rejects non-NB networks") {
     intercept[IllegalArgumentException](CounterLayout.naiveBayes(TestNets.chain))
   }
+
+  /** `blockUpdates` of the events `xs`, transposed back to one id sequence per event. */
+  private def blockIds(layout: CounterLayout, xs: Seq[Array[Int]]): Seq[Seq[Int]] = {
+    val n = layout.net.n
+    val count = xs.size
+    val block = Array.tabulate(n * count)(j => xs(j % count)(j / count))
+    val ids = new Array[Int](count * layout.updatesPerEvent)
+    layout.blockUpdates(block, count, ids)
+    (0 until count).map(e => (0 until layout.updatesPerEvent).map(r => ids(r * count + e)))
+  }
+
+  test("blockUpdates gives each event the ids of foreachUpdate, in its order") {
+    for (l <- Seq(layout, nbLayout, CounterLayout.standard(TestNets.random20))) {
+      val xs = (0 until 37).map(id => l.net.sample(3L, id.toLong))
+      val want = xs.map { x => val b = Seq.newBuilder[Int]; l.foreachUpdate(x)(b += _); b.result() }
+      assert(blockIds(l, xs) == want, l.net.name)
+    }
+  }
+
+  test("blockUpdates rejects a value outside its domain, naming it") {
+    Seq(Seq(Array(0, 1, 1), Array(0, 1, 2)) -> "x(2) = 2 outside [0, 2)",
+        Seq(Array(-1, 1, 1), Array(0, 1, 1)) -> "x(0) = -1 outside [0, 2)")
+      .foreach { case (xs, msg) =>
+        val e = intercept[IllegalArgumentException](blockIds(layout, xs))
+        assert(e.getMessage.contains(msg))
+      }
+  }
 }

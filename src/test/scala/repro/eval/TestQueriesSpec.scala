@@ -47,6 +47,15 @@ class TestQueriesSpec extends AnyFunSuite {
       assert(TestQueries.condQueries(net, count, 0.01, 8L) == reference(net, count, 8L), net.name)
   }
 
+  test("classification tests drawn a block at a time equal those drawn event by event") {
+    for ((net, count) <- Seq(TestNets.chain -> 5, TestNets.random20 -> 600, Networks.alarm -> 513)) {
+      val perEvent = IndexedSeq.tabulate(count) { t =>
+        (net.sample(17L ^ 0xc1a55L, t.toLong).toSeq, Rng.uniformInt(net.n, 17L, 0xc1a56L, t.toLong))
+      }
+      assert(TestQueries.clsTests(net, count, 17L).map(t => (t.x.toSeq, t.target)) == perEvent, net.name)
+    }
+  }
+
   test("classification tests target every variable eventually") {
     val ts = TestQueries.clsTests(net, 200, 7L)
     assert(ts.map(_.target).distinct.sorted == Seq(0, 1, 2))

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.bn.{BayesianNetwork, Event, ForwardSampler, NetworkGenerator, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
 import repro.counter.{CounterBank, CounterLayout, DistCounterBank, ExactCounterBank}
+import repro.eval.Networks
 
 class SequentialDriverSpec extends AnyFunSuite {
   private val net = TestNets.chain
@@ -164,6 +165,23 @@ class SequentialDriverSpec extends AnyFunSuite {
     assert(rejected(Event(0L, 0, Array(0, 3, 1))).contains("x(1) = 3 outside [0, 3)"))
   }
 
+  test("through the iterator, a bad event is rejected with its value named before any bank counts it") {
+    val good = ForwardSampler.localEvents(net, 40, k, 25L).toSeq
+    def rejectedByAll(bad: Event): String = {
+      val bs = Seq(new ExactCounterBank(layout.numCounters),
+        DistCounterBank(layout.numCounters, k, Array.fill(layout.numCounters)(0.1), 26L))
+      val e = intercept[IllegalArgumentException](SequentialDriver.runAll(layout, bs, (good :+ bad).iterator))
+      bs.foreach(b => assert(b.messages == 0L, s"${b.getClass.getSimpleName} counted the chunk of ${e.getMessage}"))
+      e.getMessage
+    }
+    assert(rejectedByAll(Event(40L, 0, Array(0, 1))).contains("assignment has 2 values, expected 3"))
+    assert(rejectedByAll(Event(40L, 0, Array(0, 1, 1, 0))).contains("assignment has 4 values, expected 3"))
+    assert(rejectedByAll(Event(40L, 0, Array(0, 3, 1))).contains("x(1) = 3 outside [0, 3)"))
+    assert(rejectedByAll(Event(40L, 0, Array(-1, 1, 1))).contains("x(0) = -1 outside [0, 2)"))
+    assert(rejectedByAll(Event(40L, k, Array(0, 1, 1))).contains(s"site $k outside [0, $k)"))
+    assert(rejectedByAll(Event(40L, -1, Array(0, 1, 1))).contains(s"site -1 outside [0, $k)"))
+  }
+
   /** The driver loop of a single bank, written out event by event. */
   private def reference(layout: CounterLayout, bank: CounterBank, events: Iterator[Event],
                         checkpoints: Seq[Long]): Seq[Snapshot] = {
@@ -265,5 +283,44 @@ class SequentialDriverSpec extends AnyFunSuite {
     }
     assert(run(Event(700L, k, Array(0, 1, 1))).getMessage.contains(s"site $k outside [0, $k)"))
     assert(run(Event(700L, 0, Array(0, 3, 1))).getMessage.contains("x(1) = 3 outside [0, 3)"))
+  }
+
+  /** The pass over the sampled source against the same pass over the
+    * events of `localEvents`, and against each bank's event-by-event
+    * reference over events sampled one at a time.
+    */
+  private def sourceSameAsIterator(layout: CounterLayout, allocs: Seq[EpsilonAllocation], m: Long,
+                                   checkpoints: Seq[Long]): Unit = {
+    val net = layout.net
+    def banks: Seq[CounterBank] = new ExactCounterBank(layout.numCounters) +:
+      allocs.map(a => new DistCounterBank(layout.numCounters, k, a.epsArray(layout), 27L, 0.05))
+    val fromSource = SequentialDriver.runAll(layout, banks, ForwardSampler.source(net, m, k, 28L), checkpoints)
+    val fromIterator = SequentialDriver.runAll(layout, banks, ForwardSampler.localEvents(net, m, k, 28L), checkpoints)
+    val alone = banks.map(b => reference(layout, b,
+      (0L until m).iterator.map(id => ForwardSampler.sampleEvent(net, k, 28L, id)), checkpoints))
+    assert(fromSource.size == 4)
+    fromSource.indices.foreach { b =>
+      assert(fromSource(b).map(_.m) == (checkpoints.filter(_ < m) :+ m), s"bank $b")
+      assert(bits(fromSource(b)) == bits(fromIterator(b)), s"bank $b: source against iterator")
+      assert(bits(fromSource(b)) == bits(alone(b)), s"bank $b: source against its own pass")
+    }
+  }
+
+  test("the pass over the sampled source equals the pass over its events, bit for bit (ALARM)") {
+    val net = Networks.alarm
+    val layout = CounterLayout.standard(net)
+    val allocs = Seq(EpsilonAllocation.Baseline(0.1, net.n), EpsilonAllocation.Uniform(0.1, net.n),
+      EpsilonAllocation.NonUniform(0.1, net))
+    sourceSameAsIterator(layout, allocs, 2777L, Seq(100L, 256L, 1000L, 2777L, 5000L))
+    sourceSameAsIterator(layout, allocs, 50L, Seq(7L))
+  }
+
+  test("the pass over the sampled source equals the pass over its events, bit for bit (Naive-Bayes layout)") {
+    val net = NetworkGenerator.naiveBayes("nb", 6, 3, Array(2, 5, 3, 4, 2), seed = 41L)
+    val layout = CounterLayout.naiveBayes(net)
+    val allocs = Seq(EpsilonAllocation.NaiveBayes(0.1, net.card), EpsilonAllocation.NaiveBayes(0.3, net.card),
+      EpsilonAllocation.Uniform(0.1, net.n))
+    sourceSameAsIterator(layout, allocs, 2777L, Seq(100L, 256L, 1000L, 2777L, 5000L))
+    sourceSameAsIterator(layout, allocs, 50L, Seq(7L))
   }
 }
