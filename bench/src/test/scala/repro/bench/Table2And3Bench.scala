@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.eval.{DatasetResult, Networks, Tables}
 import repro.jobs.{JobSession, Table2And3}
 
@@ -21,7 +20,7 @@ import repro.jobs.{JobSession, Table2And3}
   */
 class Table2And3Bench extends AnyFunSuite {
 
-  private lazy val grid: Seq[DatasetResult] = Table2And3.runAll(SparkSpec.shared)
+  private lazy val grid: Seq[DatasetResult] = Table2And3.runAll()
 
   test("Table 2: classification error rate (paper vs ours)") {
     println(Table2And3.renderTable2(grid))
@@ -81,7 +80,7 @@ class Table2And3Bench extends AnyFunSuite {
     // Accuracy price of the calibrated profile (ALARM, one run): the
     // counters trade the Lemma 4 variance bound for communication, so the
     // error vs the exact MLE grows — report it next to the savings.
-    val acc = Tables.runDataset(SparkSpec.shared, Networks.alarm,
+    val acc = Tables.runDataset(Networks.alarm,
       JobSession.m, JobSession.k, JobSession.eps, JobSession.seed,
       nTests = 500, runs = 1, pScale = Some(0.05))
     println(Tables.render(

@@ -2,7 +2,9 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared SparkSession setup for the spark-submit entrypoints. */
+/** The entrypoints' experiment scale, and the SparkSession of the one that
+  * runs on Spark (`StreamingMLE`).
+  */
 object JobSession {
   def get(app: String): SparkSession =
     SparkSession.builder()

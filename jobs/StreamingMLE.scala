@@ -42,15 +42,12 @@ object StreamingMLE {
       // batches.
       try {
         val m = JobSession.m
-        val chunk = math.max(1L, m / 20)
-        var lo = 0L
-        while (lo < m) {
-          val hi = math.min(m, lo + chunk)
-          source.addData((lo until hi).map(id =>
-            ForwardSampler.sampleEvent(net, JobSession.k, JobSession.seed, id)))
-          query.processAllAvailable()
-          lo = hi
-        }
+        ForwardSampler.localEvents(net, m, JobSession.k, JobSession.seed)
+          .grouped(math.max(1L, m / 20).toInt)
+          .foreach { chunk =>
+            source.addData(chunk)
+            query.processAllAvailable()
+          }
       } finally query.stop()
 
       val queries = TestQueries.condQueries(net, JobSession.nTests, 0.01, JobSession.seed)

@@ -1,12 +1,11 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.{DatasetResult, Networks, Tables}
 
-/** spark-submit entrypoint for Tables 2 and 3: runs the grid (all
-  * datasets × all four algorithms at m = 50K, k = 30, ε = 0.1) once and
-  * prints Table 2, Table 3 and the supplementary errors from it, each next
-  * to the paper's reference numbers.
+/** Entrypoint for Tables 2 and 3: runs the grid (all datasets × all four
+  * algorithms at m = 50K, k = 30, ε = 0.1) once on the sequential
+  * simulator, with no Spark, and prints Table 2, Table 3 and the
+  * supplementary errors from it, each next to the paper's reference numbers.
   */
 object Table2And3 {
 
@@ -26,10 +25,10 @@ object Table2And3 {
     "munin" -> Seq(104100000L, 34388688L, 11317844L, 11261617L),
   )
 
-  def runAll(spark: SparkSession): Seq[DatasetResult] =
+  def runAll(): Seq[DatasetResult] =
     Networks.all.map { net =>
       val t0 = System.nanoTime()
-      val r = Tables.runDataset(spark, net, JobSession.m, JobSession.k, JobSession.eps,
+      val r = Tables.runDataset(net, JobSession.m, JobSession.k, JobSession.eps,
         JobSession.seed, JobSession.nTests, JobSession.runs, JobSession.pScale)
       Console.err.println(f"[tables] ${net.name} done in ${(System.nanoTime() - t0) / 1e9}%.1f s")
       r
@@ -76,12 +75,9 @@ object Table2And3 {
   }
 
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table2and3")
-    try {
-      val rs = runAll(spark)
-      println(renderTable2(rs))
-      println(renderTable3(rs))
-      println(renderErrors(rs))
-    } finally spark.stop()
+    val rs = runAll()
+    println(renderTable2(rs))
+    println(renderTable3(rs))
+    println(renderErrors(rs))
   }
 }

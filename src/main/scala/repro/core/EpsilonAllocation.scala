@@ -8,8 +8,11 @@ import repro.counter.CounterLayout
   * Every algorithm instantiates the same master scheme (Algorithms 1–3)
   * and differs only in `epsfnA` (error νᵢ of the child counters
   * Aᵢ(xᵢ, u)) and `epsfnB` (error μᵢ of the parent counters Aᵢ(u)).
+  * The overall error ε must be positive and finite.
   */
-sealed abstract class EpsilonAllocation(val name: String) extends Serializable {
+sealed abstract class EpsilonAllocation(val name: String, eps: Double) extends Serializable {
+  require(eps > 0 && !eps.isInfinite, s"eps = $eps, expected a positive finite number")
+
   /** Error parameter for variable i's child counters Aᵢ(xᵢ, u). */
   def nu(i: Int): Double
 
@@ -32,7 +35,7 @@ sealed abstract class EpsilonAllocation(val name: String) extends Serializable {
 object EpsilonAllocation {
 
   /** BASELINE (Section 4.3): worst-case union bound, all counters ε/(3n). */
-  final case class Baseline(eps: Double, n: Int) extends EpsilonAllocation("baseline") {
+  final case class Baseline(eps: Double, n: Int) extends EpsilonAllocation("baseline", eps) {
     private val v = eps / (3.0 * n)
     override def nu(i: Int): Double = v
     override def mu(i: Int): Double = v
@@ -41,7 +44,7 @@ object EpsilonAllocation {
   /** UNIFORM (Section 4.4): variance analysis of the product of unbiased
     * counters allows ε/(16√n).
     */
-  final case class Uniform(eps: Double, n: Int) extends EpsilonAllocation("uniform") {
+  final case class Uniform(eps: Double, n: Int) extends EpsilonAllocation("uniform", eps) {
     private val v = eps / (16.0 * math.sqrt(n.toDouble))
     override def nu(i: Int): Double = v
     override def mu(i: Int): Double = v
@@ -52,7 +55,7 @@ object EpsilonAllocation {
     * μᵢ = Kᵢ^{1/3}·ε/(16β) with β = (ΣKᵢ^{2/3})^{1/2} (Equations 7–8).
     */
   final case class NonUniform(eps: Double, card: Array[Int], parentCard: Array[Int])
-      extends EpsilonAllocation("nonuniform") {
+      extends EpsilonAllocation("nonuniform", eps) {
     private val jk = Array.tabulate(card.length)(i => card(i).toDouble * parentCard(i))
     private val alpha = math.sqrt(jk.map(math.pow(_, 2.0 / 3.0)).sum)
     private val beta = math.sqrt(parentCard.map(k => math.pow(k.toDouble, 2.0 / 3.0)).sum)
@@ -72,7 +75,7 @@ object EpsilonAllocation {
     * `CounterLayout.naiveBayes`, where the root's child block *is* the
     * shared block.
     */
-  final case class NaiveBayes(eps: Double, card: Array[Int]) extends EpsilonAllocation("naivebayes") {
+  final case class NaiveBayes(eps: Double, card: Array[Int]) extends EpsilonAllocation("naivebayes", eps) {
     private val n = card.length
     private val denom = math.sqrt((1 until n).map(i => math.pow(card(i).toDouble, 2.0 / 3.0)).sum)
     private val sharedEps = eps / (3.0 * n)

@@ -2,21 +2,27 @@ package repro.counter
 
 /** A bank of continuously-tracked distributed counters.
   *
-  * `increment(site, c)` is called by site `site` when it observes one unit
-  * for counter `c`; `feed(c, sites, from, until)` takes a run of counter
-  * c's increments at once, at `sites(from until until)` in stream order,
-  * and must leave the bank as that many `increment` calls would;
-  * `estimate(c)` is the coordinator's current view; `messages` is the
-  * total upstream communication (site → coordinator messages, each
-  * carrying a single counter update — the unit the paper's experiments
-  * count). The bank takes increments of sites in [0, k).
+  * `feed(c, sites, from, until)` takes a run of counter c's increments, one
+  * unit each observed by site `sites(i)` for i in [from, until), in stream
+  * order, and must leave the bank as that many single increments in turn
+  * would; `increment(site, c)` is a run of one. `estimate(c)` is the
+  * coordinator's current view; `messages` is the total upstream
+  * communication (site → coordinator messages, each carrying a single
+  * counter update — the unit the paper's experiments count). The bank takes
+  * increments of sites in [0, k). A bank is used by one thread at a time.
   */
 trait CounterBank {
+  private val oneSite = new Array[Int](1)
+
   def k: Int
-  def increment(site: Int, counter: Int): Unit
   def feed(counter: Int, sites: Array[Int], from: Int, until: Int): Unit
   def estimate(counter: Int): Double
   def messages: Long
+
+  final def increment(site: Int, counter: Int): Unit = {
+    oneSite(0) = site
+    feed(counter, oneSite, 0, 1)
+  }
 }
 
 /** EXACTMLE's counters: every increment is forwarded immediately, so the
@@ -29,11 +35,6 @@ final class ExactCounterBank(numCounters: Int) extends CounterBank {
 
   /** Holds nothing per site, so takes any site ≥ 0. */
   override def k: Int = Int.MaxValue
-
-  override def increment(site: Int, counter: Int): Unit = {
-    counts(counter) += 1
-    msgs += 1
-  }
 
   override def feed(counter: Int, sites: Array[Int], from: Int, until: Int): Unit = {
     counts(counter) += until - from
@@ -169,8 +170,8 @@ object Coordinator {
   * first with p < 1, the bank settles the k site terms (their local
   * counts) and sets all k sites' p to 1 but the reporting site's to the
   * new p. From then on each increment takes the coin at the site's p.
-  * Every value is the one the per-increment path writes, so messages and
-  * estimates are the same bit for bit.
+  * Every value is the one the protocol writes when it takes each increment
+  * at the site's p, so messages and estimates are the same bit for bit.
   */
 final class DistCounterBank(
     numCounters: Int,
@@ -185,13 +186,6 @@ final class DistCounterBank(
   private val pSite = new Array[Double](k * numCounters) // written when a counter leaves the regime
   private val limit = new Array[Double](numCounters)
   for (c <- 0 until numCounters) limit(c) = coordinator.exactLimit(c)
-
-  override def increment(site: Int, counter: Int): Unit =
-    if (inExactRegime(counter)) {
-      countLocal(site, counter)
-      coordinator.receiveExact(counter, 1)
-      if (!inExactRegime(counter)) leave(site, counter)
-    } else countSampled(site, counter)
 
   override def feed(counter: Int, sites: Array[Int], from: Int, until: Int): Unit = {
     var i = from

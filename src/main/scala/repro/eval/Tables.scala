@@ -47,9 +47,9 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * beside that pass; then each algorithm is evaluated on a thread of its
   * own. The first failure, in the order test events, classification
   * tests, pass, evaluation, is rethrown as it was raised. No Spark job
-  * runs: `runDataset` keeps its `SparkSession` parameter only so that its
-  * callers keep their signature, and `SuffStats` remains the Spark
-  * reference for the exact counts.
+  * runs; `SuffStats` remains the Spark reference for the exact counts. The
+  * deprecated overload that takes a `SparkSession` exists only for the
+  * frozen benchmark (`perfbench`), which compiles against it.
   */
 object Tables {
 
@@ -61,23 +61,22 @@ object Tables {
     EpsilonAllocation.NonUniform(eps, net),
   )
 
-  /** @param spark  unused (see the class doc)
-    * @param pScale reporting-probability scale of the distributed counters;
+  /** @param pScale reporting-probability scale of the distributed counters;
     *               None = the variance-honoring √(2k) (Lemma 4). Smaller
     *               values trade per-counter accuracy for communication —
     *               used to calibrate against the paper's implementation
     *               constants (see EXPERIMENTS.md).
     */
-  def runDataset(spark: SparkSession, net: BayesianNetwork, m: Long, k: Int,
-                 eps: Double, seed: Long, nTests: Int, runs: Int,
-                 pScale: Option[Double] = None): DatasetResult = {
+  def runDataset(net: BayesianNetwork, m: Long, k: Int, eps: Double, seed: Long, nTests: Int,
+                 runs: Int, pScale: Option[Double] = None): DatasetResult = {
     require(m >= 1, s"m = $m, expected at least 1")
     require(runs >= 1, s"runs = $runs, expected at least 1")
     require(nTests >= 1, s"nTests = $nTests, expected at least 1")
+    val allocs = allocations(eps, net) // rejects a bad eps before any thread starts
     val layout = CounterLayout.standard(net)
     val queriesTask = beside("tables-queries")(TestQueries.condQueries(net, nTests, minProb = 0.01, seed = seed))
     val testsTask = beside("tables-tests")(TestQueries.clsTests(net, nTests, seed))
-    val snaps = Try(pass(net, layout, Seq(m), k, eps, seed, (1 to runs).map(seed + 7919L * _), pScale))
+    val snaps = Try(pass(layout, Seq(m), k, allocs, seed, (1 to runs).map(seed + 7919L * _), pScale))
     SequentialDriver.await(Seq(queriesTask, testsTask))
     val finals = snaps.get.map(_.map(_.last))
     val queries = queriesTask.get()
@@ -104,6 +103,11 @@ object Tables {
     DatasetResult(net.name, m, k, eps, evaluated.map(_.get()))
   }
 
+  @deprecated("the session is unused; call runDataset(net, m, k, eps, seed, nTests, runs, pScale)", "")
+  def runDataset(spark: SparkSession, net: BayesianNetwork, m: Long, k: Int, eps: Double, seed: Long,
+                 nTests: Int, runs: Int, pScale: Option[Double]): DatasetResult =
+    runDataset(net, m, k, eps, seed, nTests, runs, pScale)
+
   /** Starts `work` on a daemon thread of its own. */
   private def beside[A](name: String)(work: => A): FutureTask[A] = {
     val task = new FutureTask[A](() => work)
@@ -123,7 +127,7 @@ object Tables {
                     pScale: Option[Double]): Map[String, Seq[Long]] = {
     require(ms.nonEmpty, "ms is empty, expected at least one checkpoint")
     ms.foreach(m => require(m > 0, s"checkpoint m = $m in ms, expected m > 0"))
-    val snaps = pass(net, CounterLayout.standard(net), ms, k, eps, seed, Seq(seed), pScale)
+    val snaps = pass(CounterLayout.standard(net), ms, k, allocations(eps, net), seed, Seq(seed), pScale)
     algoNames.zip(snaps.map(_.head)).map { case (algo, s) =>
       algo -> ms.map(m => s.find(_.m == m).get.messages)
     }.toMap
@@ -134,13 +138,13 @@ object Tables {
     * one per (allocation, protocol seed); returns each algorithm's banks'
     * snapshots, in `algoNames` order.
     */
-  private def pass(net: BayesianNetwork, layout: CounterLayout, ms: Seq[Long], k: Int, eps: Double,
+  private def pass(layout: CounterLayout, ms: Seq[Long], k: Int, allocs: Seq[EpsilonAllocation],
                    seed: Long, protocolSeeds: Seq[Long], pScale: Option[Double]): Seq[Seq[Seq[Snapshot]]] = {
     val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val banks = new ExactCounterBank(layout.numCounters) +:
-      (for (a <- allocations(eps, net); s <- protocolSeeds)
+      (for (a <- allocs; s <- protocolSeeds)
         yield new DistCounterBank(layout.numCounters, k, a.epsArray(layout), s, scale))
-    val snaps = SequentialDriver.runAll(layout, banks, ForwardSampler.source(net, ms.max, k, seed), ms)
+    val snaps = SequentialDriver.runAll(layout, banks, ForwardSampler.source(layout.net, ms.max, k, seed), ms)
     Seq(snaps.head) +: snaps.tail.grouped(protocolSeeds.size).toSeq
   }
 

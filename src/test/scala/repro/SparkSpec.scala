@@ -4,13 +4,14 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the suites that run Spark: the Spark exact-MLE reference
+  * (`SuffStatsSpec`), the Spark sampler, the micro-batch engine, and
+  * `OracleSpec`'s DuckDB self-checks. They share one local-mode
+  * SparkSession for the whole test run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Broadcast joins are disabled, so a join in a test
+  * query runs as a shuffle.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -23,8 +24,7 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

@@ -9,6 +9,18 @@ class EpsilonAllocationSpec extends AnyFunSuite {
   private val eps = 0.1
   private val net = TestNets.random20
 
+  test("every allocation rejects an eps that is not positive and finite, naming it") {
+    for (bad <- Seq(0.0, -0.1, Double.NaN, Double.PositiveInfinity)) {
+      val made: Seq[() => EpsilonAllocation] = Seq(() => EpsilonAllocation.Baseline(bad, net.n),
+        () => EpsilonAllocation.Uniform(bad, net.n), () => EpsilonAllocation.NonUniform(bad, net),
+        () => EpsilonAllocation.NaiveBayes(bad, net.card))
+      for (make <- made) {
+        val e = intercept[IllegalArgumentException](make())
+        assert(e.getMessage.contains(s"eps = $bad"), e.getMessage)
+      }
+    }
+  }
+
   test("baseline sets every error to eps/(3n)") {
     val a = EpsilonAllocation.Baseline(eps, 20)
     assert(math.abs(a.nu(3) - eps / 60.0) < 1e-15)

@@ -1,16 +1,19 @@
 package repro.eval
 
+import scala.annotation.nowarn
+
+import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.bn.{BayesianNetwork, ForwardSampler, TestNets}
 import repro.core.BNModel
 import repro.counter.{Coordinator, CounterLayout, DistCounterBank, ExactCounterBank}
 import repro.stream.SequentialDriver
 
-class TablesSpec extends SparkSpec {
+class TablesSpec extends AnyFunSuite {
 
   // One shared small run: chain network, modest stream.
   private lazy val result: DatasetResult =
-    Tables.runDataset(spark, TestNets.random20, m = 8000, k = 5, eps = 0.5,
+    Tables.runDataset(TestNets.random20, m = 8000, k = 5, eps = 0.5,
       seed = 21L, nTests = 200, runs = 2)
 
   test("runDataset returns all four algorithms in order") {
@@ -38,7 +41,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("runDataset on ALARM stays what was recorded: messages and metric bits of every algorithm") {
-    val row = Tables.runDataset(spark, Networks.alarm, m = 5000, k = 30, eps = 0.1, seed = 13L,
+    val row = Tables.runDataset(Networks.alarm, m = 5000, k = 30, eps = 0.1, seed = 13L,
       nTests = 500, runs = 2, Some(0.05))
     def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
     val got = row.results.map(a => (a.algo, a.messages, bits(a.clsErr), bits(a.errVsTruth), bits(a.errVsMle)))
@@ -54,7 +57,7 @@ class TablesSpec extends SparkSpec {
     val flat = new BayesianNetwork("flat", Array(128), Array(Array.empty[Int]),
       Array(Array(Array.fill(128)(1.0 / 128))))
     val e = intercept[IllegalArgumentException] {
-      Tables.runDataset(spark, flat, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 1)
+      Tables.runDataset(flat, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 1)
     }
     assert(e.getMessage.contains("query generation not converging"), e.getMessage)
   }
@@ -136,7 +139,7 @@ class TablesSpec extends SparkSpec {
   test("runDataset rejects fewer than one event, naming the value") {
     for (m <- Seq(0L, -1L)) {
       val e = intercept[IllegalArgumentException] {
-        Tables.runDataset(spark, msNet, m = m, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 1)
+        Tables.runDataset(msNet, m = m, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 1)
       }
       assert(e.getMessage.contains(s"m = $m"), e.getMessage)
     }
@@ -144,7 +147,7 @@ class TablesSpec extends SparkSpec {
 
   test("runDataset rejects fewer than one run, naming the value") {
     val e = intercept[IllegalArgumentException] {
-      Tables.runDataset(spark, msNet, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 0)
+      Tables.runDataset(msNet, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = 1, runs = 0)
     }
     assert(e.getMessage.contains("runs = 0"), e.getMessage)
   }
@@ -152,10 +155,29 @@ class TablesSpec extends SparkSpec {
   test("runDataset rejects fewer than one test event, naming the value") {
     for (n <- Seq(0, -1)) {
       val e = intercept[IllegalArgumentException] {
-        Tables.runDataset(spark, msNet, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = n, runs = 1)
+        Tables.runDataset(msNet, m = 100, k = 2, eps = 0.5, seed = 3L, nTests = n, runs = 1)
       }
       assert(e.getMessage.contains(s"nTests = $n"), e.getMessage)
     }
+  }
+
+  test("runDataset and messageCounts reject an eps that is not positive and finite, naming it") {
+    for (eps <- Seq(0.0, -0.1, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException] {
+        Tables.runDataset(msNet, m = 100, k = 2, eps = eps, seed = 3L, nTests = 1, runs = 1)
+      }
+      assert(e.getMessage.contains(s"eps = $eps"), e.getMessage)
+      val e2 = intercept[IllegalArgumentException](Tables.messageCounts(msNet, Seq(100L), 2, eps, 3L, None))
+      assert(e2.getMessage.contains(s"eps = $eps"), e2.getMessage)
+    }
+  }
+
+  test("the deprecated overload that takes a SparkSession returns the same row bit for bit") {
+    def bits(r: DatasetResult) = r.results.map(a => (a.algo, a.messages,
+      Seq(a.clsErr, a.errVsTruth, a.errVsMle).map(java.lang.Double.doubleToLongBits)))
+    val row = Tables.runDataset(msNet, m = 2000, k = 5, eps = 0.5, seed = 23L, nTests = 100, runs = 2, Some(0.5))
+    val viaSession = (Tables.runDataset(SparkSpec.shared, msNet, 2000, 5, 0.5, 23L, 100, 2, Some(0.5)): @nowarn)
+    assert(bits(viaSession) == bits(row))
   }
 
   test("render produces an aligned table with all cells") {
