@@ -122,22 +122,6 @@ final class BayesianNetwork(
     val x = new Array[Int](len); sampleBlock(seed, id, 1, len, x); x
   }
 
-  /** `sample(seed, id)` for the ids `from until from + count`. */
-  def samples(seed: Long, from: Long, count: Int): Array[Array[Int]] = {
-    val block = new Array[Int](n * count)
-    sampleBlock(seed, from, count, n, block)
-    val xs = new Array[Array[Int]](count)
-    var e = 0
-    while (e < count) {
-      val x = new Array[Int](n)
-      var i = 0
-      while (i < n) { x(i) = block(i * count + e); i += 1 }
-      xs(e) = x
-      e += 1
-    }
-    xs
-  }
-
   /** The program's one sampler: ancestral sampling of the events with ids
     * `from until from + count` over their first `len` variables, written
     * variable-major, variable i of event `from + e` at `out(i·count + e)`.

@@ -86,17 +86,26 @@ object ForwardSampler {
 
   private def site(k: Int, seed: Long, id: Long): Int = Rng.uniformInt(k, seed, 0x517eL, id)
 
-  /** Driver-side generation of the full stream in arrival order. */
+  /** Driver-side generation of the full stream in arrival order: the
+    * events of `source`, read a block of `blockEvents` at a time.
+    */
   def localEvents(net: BayesianNetwork, m: Long, k: Int, seed: Long): Iterator[Event] = {
-    require(k >= 1, s"need at least one site, got $k")
-    Iterator.iterate(0L)(_ + blockEvents).takeWhile(_ < m).flatMap { from =>
-      val xs = net.samples(seed, from, math.min(blockEvents.toLong, m - from).toInt)
-      Iterator.tabulate(xs.length)(e => Event(from + e, site(k, seed, from + e), xs(e)))
+    val src = source(net, m, k, seed)
+    val x = new Array[Int](net.n * blockEvents)
+    val sites = new Array[Int](blockEvents)
+    Iterator.iterate(0L)(_ + blockEvents).takeWhile(_ => src.hasNext).flatMap { from =>
+      val r = src.read(blockEvents, x, sites)
+      Iterator.tabulate(r) { e =>
+        val xe = new Array[Int](net.n)
+        var i = 0
+        while (i < net.n) { xe(i) = x(i * r + e); i += 1 }
+        Event(from + e, sites(e), xe)
+      }
     }
   }
 
-  /** The stream of `localEvents` as an `EventSource`: each `read` samples
-    * its block with one `sampleBlock` call and draws the blocks' sites, so
+  /** The sampled stream of m events routed to k sites: each `read` samples
+    * its block with one `sampleBlock` call and draws the block's sites, so
     * a pass over it builds no `Event`.
     */
   def source(net: BayesianNetwork, m: Long, k: Int, seed: Long): EventSource = {

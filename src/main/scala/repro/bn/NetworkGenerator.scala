@@ -19,7 +19,8 @@ object NetworkGenerator {
     * exactly `edges` edges and per-node in-degree ≤ `maxParents`.
     */
   def randomDag(n: Int, edges: Int, maxParents: Int, seed: Long): Array[Array[Int]] = {
-    require(n >= 1 && edges >= 0)
+    require(n >= 1, s"n = $n nodes, expected at least 1")
+    require(edges >= 0, s"edges = $edges, expected at least 0")
     val capacity = (1 until n).map(i => math.min(i, maxParents).toLong).sum
     require(edges <= capacity, s"cannot place $edges edges with maxParents=$maxParents on $n nodes")
     val par = Array.fill(n)(scala.collection.mutable.SortedSet.empty[Int])
@@ -47,7 +48,8 @@ object NetworkGenerator {
   /** Raise cardinalities (starting from all-2) one step at a time on random
     * nodes until the parameter count reaches `targetParams`. Deterministic
     * in `seed`; stops at the first value ≥ target (small overshoot possible,
-    * reported in EXPERIMENTS.md).
+    * reported in EXPERIMENTS.md). Fails if 10·n draws in a row find every
+    * drawn node at `maxCard` before the target is reached.
     */
   def calibrateCards(parents: Array[Array[Int]], targetParams: Long, maxCard: Int,
                      seed: Long): Array[Int] = {
@@ -73,6 +75,8 @@ object NetworkGenerator {
       if (card(i) < maxCard) { card(i) += 1; cur = params; stuck = 0 }
       else stuck += 1
     }
+    require(cur >= targetParams,
+      s"cardinality search stopped at $cur parameters, below the target $targetParams (maxCard = $maxCard)")
     card
   }
 
@@ -135,6 +139,7 @@ object NetworkGenerator {
     * randomly chosen variables to cardinality `wideCard`, regenerate CPTs.
     */
   def widen(base: BayesianNetwork, nWide: Int, wideCard: Int, seed: Long): BayesianNetwork = {
+    require(nWide >= 0 && nWide <= base.n, s"nWide = $nWide outside [0, ${base.n}]")
     val card = base.card.clone()
     var chosen = Set.empty[Int]
     var t = 0L

@@ -76,7 +76,9 @@ final class Coordinator(
   require(k >= 1, s"k = $k sites, expected at least 1")
   require(pScale > 0 && !pScale.isInfinite, s"pScale = $pScale, expected a positive finite number")
   require(eps.length == numCounters, s"eps has ${eps.length} entries, expected $numCounters")
-  require(eps.forall(_ > 0), "every counter needs a positive error parameter")
+  eps.indices.foreach { c =>
+    require(eps(c) > 0 && !eps(c).isInfinite, s"eps($c) = ${eps(c)}, expected a positive finite number")
+  }
 
   private val est = new Array[Double](numCounters)
   private val siteTerm = new Array[Double](k * numCounters)

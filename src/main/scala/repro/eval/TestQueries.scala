@@ -44,23 +44,14 @@ object TestQueries {
     out.result()
   }
 
-  /** Sample `count` classification tests; test t's instance is
-    * `net.sample(seed ^ 0xc1a55L, t)`, drawn a block at a time.
+  /** Sample `count` classification tests: test t's instance is event t of
+    * the one-site stream `localEvents(net, count, 1, seed ^ 0xc1a55L)`, that
+    * is `net.sample(seed ^ 0xc1a55L, t)`.
     */
-  def clsTests(net: BayesianNetwork, count: Int, seed: Long): IndexedSeq[ClsTest] = {
-    val out = IndexedSeq.newBuilder[ClsTest]
-    var from = 0
-    while (from < count) {
-      val xs = net.samples(seed ^ 0xc1a55L, from, math.min(ForwardSampler.blockEvents, count - from))
-      var e = 0
-      while (e < xs.length) {
-        out += ClsTest(xs(e), Rng.uniformInt(net.n, seed, 0xc1a56L, from.toLong + e))
-        e += 1
-      }
-      from += xs.length
-    }
-    out.result()
-  }
+  def clsTests(net: BayesianNetwork, count: Int, seed: Long): IndexedSeq[ClsTest] =
+    ForwardSampler.localEvents(net, count, 1, seed ^ 0xc1a55L)
+      .map(e => ClsTest(e.x, Rng.uniformInt(net.n, seed, 0xc1a56L, e.id)))
+      .toIndexedSeq
 }
 
 /** Accuracy metrics over the test events. */

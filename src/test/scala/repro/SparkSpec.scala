@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for the suites that run Spark: the Spark exact-MLE reference
@@ -13,10 +12,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM. Broadcast joins are disabled, so a join in a test
   * query runs as a shuffle.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
@@ -27,8 +24,8 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in the test output naming the driver heap and parallelism
+    // the session runs with.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

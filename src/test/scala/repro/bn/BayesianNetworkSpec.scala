@@ -146,9 +146,12 @@ class BayesianNetworkSpec extends AnyFunSuite {
   }
 
   test("samples are sample at consecutive ids") {
-    val xs = random20.samples(9L, 1000L, 300)
+    val xs = ForwardSampler.localEvents(random20, 1300L, 3, 9L).drop(1000).toArray
     assert(xs.length == 300)
-    xs.indices.foreach(e => assert(xs(e).sameElements(random20.sample(9L, 1000L + e))))
+    xs.indices.foreach { e =>
+      assert(xs(e).id == 1000L + e)
+      assert(xs(e).x.sameElements(random20.sample(9L, 1000L + e)))
+    }
   }
 
   test("sample is deterministic in (seed, id)") {

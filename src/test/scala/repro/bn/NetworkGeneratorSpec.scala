@@ -1,7 +1,9 @@
 package repro.bn
 
+import java.util.concurrent.atomic.AtomicReference
 import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.Networks
+import scala.util.{Failure, Try}
 
 class NetworkGeneratorSpec extends AnyFunSuite {
 
@@ -80,6 +82,29 @@ class NetworkGeneratorSpec extends AnyFunSuite {
     assert(wide.parents.map(_.toSeq).toSeq == base.parents.map(_.toSeq).toSeq)
     assert(wide.card.count(_ == 20) >= 5) // base cards are ≤ 4, so all 20s are ours
     assert(wide.card.zip(base.card).count { case (w, b) => w != b } == 5)
+  }
+
+  test("widen rejects an nWide outside [0, n], naming it, instead of looping") {
+    val base = NetworkGenerator.random("b", 3, 2, 3, 2, 12L)
+    for (nWide <- Seq(4, -1)) {
+      // On a daemon thread, so that a widen that never returns fails the test instead of hanging the run.
+      val result = new AtomicReference[Try[BayesianNetwork]]()
+      val t = new Thread(() => result.set(Try(NetworkGenerator.widen(base, nWide, wideCard = 20, seed = 11L))))
+      t.setDaemon(true)
+      t.start()
+      t.join(5000)
+      assert(!t.isAlive, s"widen with nWide = $nWide on 3 nodes still running after 5 s")
+      result.get match {
+        case Failure(e: IllegalArgumentException) => assert(e.getMessage.contains(s"nWide = $nWide outside [0, 3]"))
+        case other => fail(s"nWide = $nWide: expected an IllegalArgumentException, got $other")
+      }
+    }
+  }
+
+  test("calibrated fails when the cardinality search ends below its target, naming both counts") {
+    val e = intercept[IllegalArgumentException](
+      NetworkGenerator.calibrated("t", 3, 2, 10000L, maxCard = 3, maxParents = 2, seed = 7L))
+    assert(e.getMessage.contains("cardinality search stopped at 14 parameters, below the target 10000"), e.getMessage)
   }
 
   test("named networks match the paper's node and edge counts exactly") {

@@ -96,6 +96,10 @@ class CoordinatorSpec extends AnyFunSuite {
 
   test("rejects non-positive error parameters") {
     intercept[IllegalArgumentException](new Coordinator(1, 2, Array(0.0), 1.0))
+    Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity).foreach { bad =>
+      val e = intercept[IllegalArgumentException](new Coordinator(3, 2, Array(0.5, bad, 0.5), 1.0))
+      assert(e.getMessage.contains(s"eps(1) = $bad, expected a positive finite number"), s"eps $bad")
+    }
   }
 
   test("rejects fewer than one site, naming k") {
