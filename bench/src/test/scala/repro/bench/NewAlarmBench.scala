@@ -20,7 +20,7 @@ import repro.jobs.JobSession
   */
 class NewAlarmBench extends AnyFunSuite {
 
-  private val m: Long = sys.env.getOrElse("REPRO_NEWALARM_M", "2000000").toLong
+  private val m: Long = JobSession.knob("REPRO_NEWALARM_M", "an integer")(_.toLong).getOrElse(2000000L)
   private val net = Networks.newAlarm
   private val k = JobSession.k
 

@@ -62,15 +62,9 @@ class Table2And3Bench extends AnyFunSuite {
       net.name -> Tables.messageCounts(net, Seq(JobSession.m), JobSession.k, JobSession.eps,
         JobSession.seed, pScale = Some(0.05)).map { case (a, c) => a -> c.head }
     }.toMap
-    val rows = Networks.all.flatMap { net =>
-      Seq(
-        Seq(net.name, "paper") ++ Table2And3.paperComm(net.name).map(_.toString),
-        Seq(net.name, "ours") ++ Tables.algoNames.map(a => counts(net.name)(a).toString),
-      )
-    }
-    println(Tables.render(
-      "Table 3 (calibrated profile): communication cost (messages)",
-      Seq("dataset", "source") ++ Tables.algoNames, rows))
+    println(Table2And3.paperVsOurs("Table 3 (calibrated profile): communication cost (messages)",
+      Table2And3.paperComm(_).map(_.toString),
+      Networks.all.map(net => net.name -> ((a: String) => counts(net.name)(a).toString))))
     // The ALARM-family magnitudes should land in the paper's regime:
     // approximate algorithms an order of magnitude below EXACTMLE.
     val alarmOurs = counts("alarm")

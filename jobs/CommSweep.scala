@@ -14,8 +14,8 @@ object CommSweep {
   /** Stream lengths of the sweep unless `REPRO_SWEEP_MS` lists others. */
   val defaultMs: Seq[Long] = Seq(10000L, 50000L, 250000L, 1000000L, 4000000L)
 
-  def ms: Seq[Long] = sys.env.get("REPRO_SWEEP_MS")
-    .map(_.split(",").map(_.trim.toLong).toSeq).getOrElse(defaultMs)
+  def ms: Seq[Long] = JobSession.knob("REPRO_SWEEP_MS", "comma-separated integers")(
+    _.split(",").map(_.trim.toLong).toSeq).getOrElse(defaultMs)
 
   /** The sweep's table: one row per algorithm of `counts` (as returned by
     * `Tables.messageCounts` over `ms`), one column per m.

@@ -34,30 +34,23 @@ object Table2And3 {
       r
     }
 
-  private val header =
-    Seq("dataset", "source") ++ Tables.algoNames
+  /** A table of two rows per dataset of `ours`, in its order: the paper's
+    * cells `paper(dataset)`, then ours, the dataset's cell function applied
+    * to each algorithm.
+    */
+  private[repro] def paperVsOurs(title: String, paper: String => Seq[String],
+                                 ours: Seq[(String, String => String)]): String =
+    Tables.render(title, Seq("dataset", "source") ++ Tables.algoNames, ours.flatMap { case (d, cell) =>
+      Seq(Seq(d, "paper") ++ paper(d), Seq(d, "ours") ++ Tables.algoNames.map(cell))
+    })
 
-  def renderTable2(results: Seq[DatasetResult]): String = {
-    val rows = results.flatMap { r =>
-      Seq(
-        Seq(r.dataset, "paper") ++ paperClsErr(r.dataset).map(v => f"$v%.3f"),
-        Seq(r.dataset, "ours") ++ Tables.algoNames.map(a => f"${r(a).clsErr}%.3f"),
-      )
-    }
-    Tables.render("Table 2: Bayesian classification error rate (50K training instances)",
-      header, rows)
-  }
+  def renderTable2(results: Seq[DatasetResult]): String =
+    paperVsOurs("Table 2: Bayesian classification error rate (50K training instances)",
+      paperClsErr(_).map(v => f"$v%.3f"), results.map(r => r.dataset -> ((a: String) => f"${r(a).clsErr}%.3f")))
 
-  def renderTable3(results: Seq[DatasetResult]): String = {
-    val rows = results.flatMap { r =>
-      Seq(
-        Seq(r.dataset, "paper") ++ paperComm(r.dataset).map(_.toString),
-        Seq(r.dataset, "ours") ++ Tables.algoNames.map(a => r(a).messages.toString),
-      )
-    }
-    Tables.render("Table 3: communication cost (messages) to learn a Bayesian classifier",
-      header, rows)
-  }
+  def renderTable3(results: Seq[DatasetResult]): String =
+    paperVsOurs("Table 3: communication cost (messages) to learn a Bayesian classifier",
+      paperComm(_).map(_.toString), results.map(r => r.dataset -> ((a: String) => r(a).messages.toString)))
 
   /** Supplementary accuracy table (Figures 5 and 8 flavor): mean relative
     * error of the 1000 conditional test events vs ground truth and vs the

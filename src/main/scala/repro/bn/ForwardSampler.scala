@@ -12,7 +12,7 @@ import repro.util.Rng
 final case class Event(id: Long, site: Int, x: Array[Int])
 
 /** A stream of events read in arrival order, a variable-major block at a
-  * time: the input of a `SequentialDriver` pass.
+  * time: the input of a `SequentialDriver` pass and of a site task.
   */
 trait EventSource {
 

@@ -10,9 +10,9 @@ import repro.counter.CounterLayout
   * (Lemma 2); these are the exact values of the layout's counters
   * (Lemma 5). On Spark this is one dense aggregation: every partition
   * counts its events into an array of `layout.numCounters` longs through
-  * `CounterLayout.foreachUpdate`, the same update every counter bank
-  * receives, and the arrays are summed in a tree. This is the Spark
-  * reference for the counts: tests verify them against DuckDB via
+  * `CounterLayout.foreachUpdate`, the one-event case of the `blockUpdates`
+  * ids every bank receives, and the arrays are summed in a tree. This is
+  * the Spark reference for the counts: tests verify them against DuckDB via
   * `repro.Oracle` and against `ExactCounterBank`, the EXACTMLE bank that
   * `Tables.runDataset` feeds in its protocol pass.
   */

@@ -36,33 +36,24 @@ final class CounterLayout private (
     * in a shared layout (Naïve Bayes) every feature's parent counter is the
     * root's child counter `A(x₀)`, so the shared block is incremented once
     * per event — Algorithm 4 maintains "only one copy of the counter".
+    * Its ids are `blockUpdates`' for a block of one event, the event itself.
     * Rejects an assignment that does not fit the network before counting.
     */
   def foreachUpdate(x: Array[Int])(inc: Int => Unit): Unit = {
     require(x.length == net.n, s"assignment has ${x.length} values, expected ${net.n}")
-    var i = 0
-    while (i < net.n) {
-      require(x(i) >= 0 && x(i) < net.card(i), s"x($i) = ${x(i)} outside [0, ${net.card(i)})")
-      i += 1
-    }
-    i = 0
-    while (i < net.n) {
-      val u = net.parentCode(i, x)
-      inc(childCounter(i, x(i), u))
-      if (i == 0 || !sharedParents) inc(parentCounter(i, u))
-      i += 1
-    }
+    val ids = new Array[Int](updatesPerEvent)
+    blockUpdates(x, 1, ids)
+    ids.foreach(inc)
   }
 
-  /** `foreachUpdate` for a variable-major block of `count` events, whose
-    * variable i of event e is at `x(i·count + e)`. The ids go to `ids` in
-    * `updatesPerEvent` rows of `count`, event e's at `row·count + e`: a
-    * row per variable i for its child counters and, where `foreachUpdate`
-    * counts one, a row after it for its parent counters. Every counter
-    * belongs to one variable, so its ids lie in one row, in event order.
-    * Variable i's values are checked against dom(Xᵢ), as in
-    * `foreachUpdate`, before any id of theirs is computed; its parents'
-    * were checked before it.
+  /** The program's one counter-id computation, for a variable-major block
+    * of `count` events, whose variable i of event e is at `x(i·count + e)`.
+    * The ids go to `ids` in `updatesPerEvent` rows of `count`, event e's at
+    * `row·count + e`: a row per variable i for its child counters and,
+    * where one is counted, a row after it for its parent counters. Every
+    * counter belongs to one variable, so its ids lie in one row, in event
+    * order. Variable i's values are checked against dom(Xᵢ) before any id
+    * of theirs is computed; its parents' were checked before it.
     */
   def blockUpdates(x: Array[Int], count: Int, ids: Array[Int]): Unit = {
     val codes = new Array[Int](count)

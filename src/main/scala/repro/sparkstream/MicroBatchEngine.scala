@@ -2,7 +2,7 @@ package repro.sparkstream
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.bn.{BayesianNetwork, Event}
+import repro.bn.{BayesianNetwork, Event, EventSource}
 import repro.core.{BNModel, EpsilonAllocation}
 import repro.counter.{Coordinator, CounterLayout, Site}
 
@@ -20,12 +20,14 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCou
   * counter. Each batch's events are hash-partitioned by site into
   * min(k, defaultParallelism) RDD tasks, which adaptive query execution
   * cannot coalesce; a task groups its events by site and runs one site
-  * task per site. A site task counts on a clone of its site's array
-  * through `Site.increment`, with the reporting probabilities the
+  * task per site. A site task reads its events into one variable-major
+  * block (`EventSource`), takes their ids from `CounterLayout.blockUpdates`
+  * as the sequential pass does, and counts them on a clone of its site's
+  * array through `Site.increment`, with the reporting probabilities the
   * coordinator published at the start of the batch, so its coins are the
-  * ones the sequential bank draws. Within a batch p is
-  * fixed, so a site's reports depend only on its local counts, not on the
-  * order of its events, and each report replaces the last one in the
+  * ones the sequential bank draws. Within a batch p is fixed, so a site's
+  * reports depend only on its local counts, not on the order of its
+  * increments, and each report replaces the last one in the
   * coordinator's estimate. A site task therefore returns one `SiteRow`,
   * and the driver, playing the coordinator, writes each row's local counts
   * back into its site's array and folds the rows in site order: per
@@ -76,7 +78,7 @@ final class MicroBatchEngine(
         events.toArray.groupBy(_.site).iterator.map { case (site, group) =>
           // A site outside [0, k) comes back without state; the driver rejects it.
           if (site < 0 || site >= all.length) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
-          else MicroBatchEngine.siteTask(bcLayout.value, site, seed, all(site), bcP.value, group.iterator)
+          else MicroBatchEngine.siteTask(bcLayout.value, site, all.length, seed, all(site), bcP.value, group)
         }
       }
       .collect()
@@ -105,27 +107,28 @@ object MicroBatchEngine {
             k: Int, seed: Long): MicroBatchEngine =
     new MicroBatchEngine(net, layout, allocation, k, seed, Coordinator.theoryScale(k))
 
-  /** One site's batch, counted on a clone of its local counts `start` so
-    * that the broadcast state stays untouched.
+  /** One site's batch, counted variable by variable on a clone of its
+    * local counts `start` so that the broadcast state stays untouched.
     */
-  private def siteTask(layout: CounterLayout, site: Int, seed: Long, start: Array[Int],
-                       p: Array[Double], events: Iterator[Event]): SiteRow = {
+  private def siteTask(layout: CounterLayout, site: Int, k: Int, seed: Long, start: Array[Int],
+                       p: Array[Double], group: Array[Event]): SiteRow = {
+    val count = group.length
+    val block = new Array[Int](layout.net.n * count)
+    EventSource(group.iterator, layout.net.n, k).read(count, block, new Array[Int](count))
+    val ids = new Array[Int](count * layout.updatesPerEvent)
+    layout.blockUpdates(block, count, ids)
     val local = start.clone()
     val reported = new Array[Int](layout.numCounters)
     val reports = new Array[Int](layout.numCounters)
     val touched = Array.newBuilder[Int]
-    var n = 0L
-    events.foreach { e =>
-      layout.foreachUpdate(e.x) { c =>
-        if (local(c) == start(c)) touched += c
-        if (Site.increment(local, c, seed, site, local.length, c, p(c))) {
-          reported(c) = local(c)
-          reports(c) += 1
-        }
+    ids.foreach { c =>
+      if (local(c) == start(c)) touched += c
+      if (Site.increment(local, c, seed, site, local.length, c, p(c))) {
+        reported(c) = local(c)
+        reports(c) += 1
       }
-      n += 1
     }
     val cs = touched.result()
-    SiteRow(site, n, cs, cs.map(local), cs.map(reported), cs.map(reports))
+    SiteRow(site, count, cs, cs.map(local), cs.map(reported), cs.map(reports))
   }
 }

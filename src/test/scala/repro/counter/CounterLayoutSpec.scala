@@ -133,6 +133,14 @@ class CounterLayoutSpec extends AnyFunSuite {
       val xs = (0 until 37).map(id => l.net.sample(3L, id.toLong))
       val want = xs.map { x => val b = Seq.newBuilder[Int]; l.foreachUpdate(x)(b += _); b.result() }
       assert(blockIds(l, xs) == want, l.net.name)
+      // foreachUpdate is blockUpdates on one event, so also check the family formula itself
+      val family = xs.map { x =>
+        (0 until l.net.n).flatMap { i =>
+          val u = l.net.parentCode(i, x)
+          l.childCounter(i, x(i), u) +: (if (i == 0 || !l.sharedParents) Seq(l.parentCounter(i, u)) else Nil)
+        }
+      }
+      assert(blockIds(l, xs) == family, l.net.name)
     }
   }
 
