@@ -66,10 +66,14 @@ class Table2And3Bench extends AnyFunSuite {
       Table2And3.paperComm(_).map(_.toString),
       Networks.all.map(net => net.name -> ((a: String) => counts(net.name)(a).toString))))
     // The ALARM-family magnitudes should land in the paper's regime:
-    // approximate algorithms an order of magnitude below EXACTMLE.
+    // approximate algorithms an order of magnitude below EXACTMLE. Only the
+    // paper's stream length reaches it: on a short stream most counters
+    // are still exact, and every increment is a message.
     val alarmOurs = counts("alarm")
-    assert(alarmOurs("uniform") < alarmOurs("exactmle") / 5,
-      s"uniform ${alarmOurs("uniform")} vs exact ${alarmOurs("exactmle")}")
+    if (JobSession.m == 50000L) {
+      assert(alarmOurs("uniform") < alarmOurs("exactmle") / 5,
+        s"uniform ${alarmOurs("uniform")} vs exact ${alarmOurs("exactmle")}")
+    }
 
     // Accuracy price of the calibrated profile (ALARM, one run): the
     // counters trade the Lemma 4 variance bound for communication, so the

@@ -48,8 +48,7 @@ final class ExactCounterBank(numCounters: Int) extends CounterBank {
 
 /** Coordinator state for randomized approximate distributed counters.
   *
-  * Per (site, counter) it keeps one value, at index `counter·k + site` so
-  * that a counter's k values are adjacent, the site's term of the estimate:
+  * Per (site, counter) the estimate has one term, the site's
   * `c̄ + 1/p − 1` for the last reported local count c̄ and the reporting
   * probability p in force at that report (the expected unreported tail of
   * a geometric-with-success-p reporting process), 0 before any report.
@@ -62,10 +61,14 @@ final class ExactCounterBank(numCounters: Int) extends CounterBank {
   * Counter c is in its exact regime while its estimate is below
   * `exactLimit(c)`: every site then holds p = 1, every increment is a
   * report, each site's term is just its local count, and the estimate is
-  * the integral count. A caller that holds those local counts may report
-  * such increments through `receiveExact`, which leaves the site terms
-  * unwritten, and `settle` them when the counter leaves the regime; since
-  * the estimate only grows, it never comes back.
+  * the integral count. A caller that holds those local counts reports such
+  * increments through `receiveExact`, which writes no term, and `settle`s
+  * the counter when it leaves the regime; since the estimate only grows,
+  * it never comes back. The k terms of a counter are kept only from then
+  * on, in its slot of a pool that doubles as it fills, at
+  * `slot(counter)·k + site`; a counter that stays exact holds no slot. A
+  * `receive` of a counter without a slot opens one if its estimate is 0
+  * (every term is then 0) and fails if it has unsettled exact reports.
   */
 final class Coordinator(
     val numCounters: Int,
@@ -81,10 +84,22 @@ final class Coordinator(
   }
 
   private val est = new Array[Double](numCounters)
-  private val siteTerm = new Array[Double](k * numCounters)
+  private val slotOf = Array.fill(numCounters)(-1)
+  private var terms = new Array[Double](k * Coordinator.initialSlots)
+  private var used = 0
   private var msgs = 0L
 
-  @inline private def idx(site: Int, counter: Int): Int = counter * k + site
+  /** `counter`'s slot, −1 while it has none. */
+  def slot(counter: Int): Int = slotOf(counter)
+
+  /** Opens `counter`'s slot, its k terms 0. */
+  private def open(counter: Int): Int = {
+    val s = used
+    if ((s + 1) * k > terms.length) terms = java.util.Arrays.copyOf(terms, 2 * terms.length)
+    slotOf(counter) = s
+    used += 1
+    s
+  }
 
   /** `reports` upstream messages from one site for one counter, all sent
     * with the same inverse probability, the last of them carrying
@@ -92,10 +107,16 @@ final class Coordinator(
     * site's term `c̄ + 1/p − 1`, so the updates in between telescope.
     */
   def receive(site: Int, counter: Int, localCount: Int, invPUsed: Double, reports: Int = 1): Unit = {
-    val j = idx(site, counter)
-    val before = siteTerm(j)
-    siteTerm(j) = localCount + invPUsed - 1.0
-    est(counter) += siteTerm(j) - before
+    var s = slotOf(counter)
+    if (s < 0) {
+      if (est(counter) != 0.0)
+        throw new IllegalStateException(s"counter $counter has exact reports but no settled site terms")
+      s = open(counter)
+    }
+    val j = s * k + site
+    val before = terms(j)
+    terms(j) = localCount + invPUsed - 1.0
+    est(counter) += terms(j) - before
     msgs += reports
   }
 
@@ -110,13 +131,16 @@ final class Coordinator(
     msgs += reports
   }
 
-  /** Writes the site terms of a counter that has had only p = 1 reports:
-    * site s's term is its local count, `local(counter·k + s)`.
+  /** Opens the slot of a counter that has had only p = 1 reports and
+    * writes its site terms, site s's being its local count `count(s)`;
+    * returns the slot.
     */
-  def settle(counter: Int, local: Array[Int]): Unit = {
-    var j = idx(0, counter)
-    val end = j + k
-    while (j < end) { siteTerm(j) = local(j); j += 1 }
+  def settle(counter: Int, count: Int => Int): Int = {
+    require(slotOf(counter) < 0, s"counter $counter is already settled")
+    val s = open(counter)
+    var site = 0
+    while (site < k) { terms(s * k + site) = count(site); site += 1 }
+    s
   }
 
   /** The least integral estimate t ≥ 1 at which `pFor(counter)` is below
@@ -147,15 +171,17 @@ final class Coordinator(
 }
 
 object Coordinator {
+  /** Slots a coordinator's pool holds before it first doubles. */
+  val initialSlots = 64
+
   /** Variance-honoring reporting-probability scale (see class doc). */
   def theoryScale(k: Int): Double = math.sqrt(2.0 * k)
 }
 
 /** Sequential-driver bank over approximate counters. Per (site, counter)
-  * it keeps the site's local count and the reporting probability the site
-  * currently knows, counter-major at index `counter·k + site` like the
-  * `Coordinator`'s site terms, so that a counter's k sites are adjacent and
-  * a pass grouped by counter walks them in order. The refreshed probability
+  * it keeps the site's local count, counter-major at index
+  * `counter·k + site`, so that a counter's k sites are adjacent and a pass
+  * grouped by counter walks them in order. The refreshed probability
   * piggybacks on the acknowledgement of each counted upstream message, so a
   * site's `p` can be stale — that only makes it report more often than
   * necessary (conservative), never less accurately. Each increment is
@@ -166,14 +192,15 @@ object Coordinator {
   * every site, and stays in it while its estimate is below its
   * `Coordinator.exactLimit`, kept per counter. There an increment touches
   * only its local count, and `feed` adds a run's increments to the
-  * estimate and the messages at once through `Coordinator.receiveExact`;
-  * the counter's p and site-term blocks are not read. On the increment
-  * that brings the estimate to the limit, whose acknowledgement is the
-  * first with p < 1, the bank settles the k site terms (their local
-  * counts) and sets all k sites' p to 1 but the reporting site's to the
-  * new p. From then on each increment takes the coin at the site's p.
-  * Every value is the one the protocol writes when it takes each increment
-  * at the site's p, so messages and estimates are the same bit for bit.
+  * estimate and the messages at once through `Coordinator.receiveExact`.
+  * On the increment that brings the estimate to the limit, whose
+  * acknowledgement is the first with p < 1, the bank `settle`s the counter,
+  * which opens its coordinator slot, and keeps its k sites' p in the same
+  * slot of a pool of its own (`slot·k + site`), all 1 but the reporting
+  * site's, which is the new p. From then on each increment takes the coin
+  * at the site's p. Every value is the one the protocol writes when it
+  * takes each increment at the site's p, so messages and estimates are the
+  * same bit for bit; a counter that never leaves holds no p and no terms.
   */
 final class DistCounterBank(
     numCounters: Int,
@@ -185,7 +212,7 @@ final class DistCounterBank(
 
   val coordinator = new Coordinator(numCounters, k, eps, pScale)
   private[counter] val local = new Array[Int](k * numCounters)
-  private val pSite = new Array[Double](k * numCounters) // written when a counter leaves the regime
+  private var pSite = new Array[Double](k * Coordinator.initialSlots) // by coordinator slot
   private val limit = new Array[Double](numCounters)
   for (c <- 0 until numCounters) limit(c) = coordinator.exactLimit(c)
 
@@ -198,7 +225,10 @@ final class DistCounterBank(
       finally coordinator.receiveExact(counter, i - from)
       if (!inExactRegime(counter)) leave(sites(i - 1), counter)
     }
-    while (i < until) { countSampled(sites(i), counter); i += 1 }
+    if (i < until) {
+      val pBase = coordinator.slot(counter) * k
+      while (i < until) { countSampled(sites(i), counter, pBase); i += 1 }
+    }
   }
 
   /** Counts one increment at p = 1, which always reports. */
@@ -211,19 +241,21 @@ final class DistCounterBank(
     * with p < 1.
     */
   private def leave(site: Int, counter: Int): Unit = {
-    coordinator.settle(counter, local)
     val base = counter * k
-    java.util.Arrays.fill(pSite, base, base + k, 1.0)
-    pSite(base + site) = coordinator.pFor(counter)
+    val pBase = coordinator.settle(counter, s => local(base + s)) * k
+    if (pBase + k > pSite.length) pSite = java.util.Arrays.copyOf(pSite, 2 * pSite.length)
+    java.util.Arrays.fill(pSite, pBase, pBase + k, 1.0)
+    pSite(pBase + site) = coordinator.pFor(counter)
   }
 
-  private def countSampled(site: Int, counter: Int): Unit = {
+  /** Counts one increment at the site's p, kept at `pBase + site`. */
+  private def countSampled(site: Int, counter: Int, pBase: Int): Unit = {
     checkSite(site)
     val j = counter * k + site
-    val p = pSite(j)
+    val p = pSite(pBase + site)
     if (Site.increment(local, j, seed, site, numCounters, counter, p)) {
       coordinator.receive(site, counter, local(j), 1.0 / p)
-      pSite(j) = coordinator.pFor(counter) // piggybacked ack
+      pSite(pBase + site) = coordinator.pFor(counter) // piggybacked ack
     }
   }
 

@@ -34,6 +34,14 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCou
   * counter, the last report with the number of reports it stands for.
   * Communication cost is the sum of those report counts.
   *
+  * A counter whose published p is 1 is in its exact regime: each of its
+  * increments is a report, and the driver folds them through
+  * `Coordinator.receiveExact`, which keeps no site term. A counter whose
+  * p drops below 1 in the fold leaves the regime there, and the driver
+  * then `settle`s its site terms from the sites' arrays, which hold
+  * exactly the counts last reported. Only such counters hold coordinator
+  * slots, and their reports go through `Coordinator.receive`.
+  *
   * Compared with the sequential driver, the only semantic difference is
   * that reporting probabilities refresh at batch boundaries instead of on
   * each acknowledgement — a standard latency/communication tradeoff that
@@ -63,7 +71,7 @@ final class MicroBatchEngine(
   def processBatch(spark: SparkSession, batch: Dataset[Event]): Long = {
     val sc = spark.sparkContext
     val before = coordinator.messages
-    val p = Array.tabulate(layout.numCounters)(coordinator.pFor)
+    val p = published()
     val bcP = sc.broadcast(p)
     val bcSites = sc.broadcast(sites)
     val bcLayout = sc.broadcast(layout)
@@ -93,12 +101,36 @@ final class MicroBatchEngine(
       while (i < r.counters.length) {
         val c = r.counters(i)
         local(c) = r.localCounts(i)
-        if (r.reports(i) > 0) coordinator.receive(r.site, c, r.reported(i), 1.0 / p(c), r.reports(i))
+        if (r.reports(i) > 0) {
+          if (p(c) >= 1.0) coordinator.receiveExact(c, r.reports(i))
+          else coordinator.receive(r.site, c, r.reported(i), 1.0 / p(c), r.reports(i))
+        }
         i += 1
       }
       processed += r.events
     }
+    settleLeavers(p)
     coordinator.messages - before
+  }
+
+  /** The reporting probability of each counter, published for a batch. */
+  private def published(): Array[Double] = {
+    val p = new Array[Double](layout.numCounters)
+    var c = 0
+    while (c < p.length) { p(c) = coordinator.pFor(c); c += 1 }
+    p
+  }
+
+  /** Settles each counter that left the exact regime in the batch published
+    * with `p`, from its sites' counts, all reported at p = 1.
+    */
+  private def settleLeavers(p: Array[Double]): Unit = {
+    var c = 0
+    while (c < p.length) {
+      val counter = c
+      if (p(c) >= 1.0 && coordinator.pFor(c) < 1.0) coordinator.settle(counter, site => sites(site)(counter))
+      c += 1
+    }
   }
 }
 

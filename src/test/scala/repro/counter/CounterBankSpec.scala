@@ -74,6 +74,33 @@ class CoordinatorSpec extends AnyFunSuite {
     assert(co.estimate(1) == 0.0)
   }
 
+  test("a receive of a counter with unsettled exact reports fails, naming the counter") {
+    val co = coord()
+    co.receiveExact(1, 4)
+    val e = intercept[IllegalStateException](co.receive(0, 1, 5, 2.0))
+    assert(e.getMessage.contains("counter 1"))
+    assert(co.estimate(1) == 4.0 && co.messages == 4L && co.slot(1) == -1)
+  }
+
+  test("settle writes each site's count as its term; a later receive replaces one of them") {
+    val co = coord()
+    co.receiveExact(1, 6)
+    val counts = Array(1, 2, 3)
+    assert(co.settle(1, counts(_)) == co.slot(1) && co.slot(1) >= 0)
+    assert(co.slot(0) == -1)
+    co.receive(2, 1, 7, 2.0) // site 2's term goes from 3 to 7 + 2 − 1
+    assert(co.estimate(1) == 11.0)
+    val e = intercept[IllegalArgumentException](co.settle(1, counts(_)))
+    assert(e.getMessage.contains("counter 1"))
+  }
+
+  test("a receive of a counter with no report opens a zeroed slot") {
+    val co = coord(c = Coordinator.initialSlots + 3)
+    (0 until co.numCounters).foreach(c => co.receive(c % co.k, c, 2, 1.0))
+    assert((0 until co.numCounters).map(co.slot).toSet == (0 until co.numCounters).toSet) // past the first pool
+    assert((0 until co.numCounters).forall(co.estimate(_) == 2.0))
+  }
+
   test("pFor is 1 below threshold and decays like 1/estimate above") {
     val co = coord(eps = 0.5, pScale = 2.0)
     assert(co.pFor(0) == 1.0) // est 0 → p = min(1, 2/(0.5*1)) = 1
@@ -334,6 +361,10 @@ class DistCounterBankSpec extends AnyFunSuite {
     assert(exact.nonEmpty && sampled.nonEmpty, s"${exact.size} exact, ${sampled.size} sampled")
     exact.foreach(c => assert(bank.coordinator.pFor(c) == 1.0, s"counter $c"))
     sampled.foreach(c => assert(bank.coordinator.pFor(c) < 1.0, s"counter $c"))
+    // Only the sampled counters hold slots, more than the pool first held.
+    exact.foreach(c => assert(bank.coordinator.slot(c) == -1, s"counter $c"))
+    assert(sampled.map(bank.coordinator.slot).sorted == sampled.indices)
+    assert(sampled.size > Coordinator.initialSlots, s"${sampled.size} sampled")
   }
 
   test("an increment past Int.MaxValue fails, naming the site and counter, and counts nothing") {

@@ -8,7 +8,7 @@ import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
 import repro.bn.{Event, ForwardSampler, NetworkGenerator, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
-import repro.counter.{CounterLayout, DistCounterBank, ExactCounterBank}
+import repro.counter.{Coordinator, CounterLayout, DistCounterBank, ExactCounterBank}
 import repro.stream.SequentialDriver
 
 class MicroBatchEngineSpec extends SparkSpec {
@@ -151,6 +151,22 @@ class MicroBatchEngineSpec extends SparkSpec {
     }
     assert(pass(EpsilonAllocation.Uniform(0.3, net.n)) == ((36351L, -752364219)))
     assert(pass(EpsilonAllocation.NonUniform(0.3, net)) == ((36441L, 1581929970)))
+  }
+
+  test("after a pass only the counters whose p dropped below 1 hold slots, past the pool's first size") {
+    val net = TestNets.random20
+    val layout = CounterLayout.standard(net)
+    val events = ForwardSampler.events(spark, net, 3000L, 30, seed = 7L)
+    val e = new MicroBatchEngine(net, layout, EpsilonAllocation.Uniform(0.1, net.n), 30, 7L, 0.05)
+    (0L until 3000L by 1000L).foreach { lo =>
+      e.processBatch(spark, events.filter(ev => ev.id >= lo && ev.id < lo + 1000L))
+    }
+    val co = e.coordinator
+    (0 until layout.numCounters).foreach { c =>
+      assert((co.slot(c) >= 0) == (co.pFor(c) < 1.0), s"counter $c")
+    }
+    val slots = (0 until layout.numCounters).map(co.slot).filter(_ >= 0)
+    assert(slots.sorted == slots.indices && slots.size > Coordinator.initialSlots, s"${slots.size} slots")
   }
 
   test("a batch and the same batch repartitioned give identical messages and estimates") {
