@@ -65,10 +65,10 @@ final class ExactCounterBank(numCounters: Int) extends CounterBank {
   * increments through `receiveExact`, which writes no term, and `settle`s
   * the counter when it leaves the regime; since the estimate only grows,
   * it never comes back. The k terms of a counter are kept only from then
-  * on, in its slot of a pool that doubles as it fills, at
-  * `slot(counter)·k + site`; a counter that stays exact holds no slot. A
-  * `receive` of a counter without a slot opens one if its estimate is 0
-  * (every term is then 0) and fails if it has unsettled exact reports.
+  * on, in a row of its own indexed by site; a counter that stays exact
+  * holds no row. A `receive` of a counter without a row makes one if its
+  * estimate is 0 (every term is then 0) and fails if it has unsettled
+  * exact reports.
   */
 final class Coordinator(
     val numCounters: Int,
@@ -84,22 +84,11 @@ final class Coordinator(
   }
 
   private val est = new Array[Double](numCounters)
-  private val slotOf = Array.fill(numCounters)(-1)
-  private var terms = new Array[Double](k * Coordinator.initialSlots)
-  private var used = 0
+  private val terms = new Array[Array[Double]](numCounters) // by site; null while exact
   private var msgs = 0L
 
-  /** `counter`'s slot, −1 while it has none. */
-  def slot(counter: Int): Int = slotOf(counter)
-
-  /** Opens `counter`'s slot, its k terms 0. */
-  private def open(counter: Int): Int = {
-    val s = used
-    if ((s + 1) * k > terms.length) terms = java.util.Arrays.copyOf(terms, 2 * terms.length)
-    slotOf(counter) = s
-    used += 1
-    s
-  }
+  /** Whether `counter` holds its k site terms. */
+  def settled(counter: Int): Boolean = terms(counter) != null
 
   /** `reports` upstream messages from one site for one counter, all sent
     * with the same inverse probability, the last of them carrying
@@ -107,16 +96,16 @@ final class Coordinator(
     * site's term `c̄ + 1/p − 1`, so the updates in between telescope.
     */
   def receive(site: Int, counter: Int, localCount: Int, invPUsed: Double, reports: Int = 1): Unit = {
-    var s = slotOf(counter)
-    if (s < 0) {
+    var t = terms(counter)
+    if (t == null) {
       if (est(counter) != 0.0)
         throw new IllegalStateException(s"counter $counter has exact reports but no settled site terms")
-      s = open(counter)
+      t = new Array[Double](k)
+      terms(counter) = t
     }
-    val j = s * k + site
-    val before = terms(j)
-    terms(j) = localCount + invPUsed - 1.0
-    est(counter) += terms(j) - before
+    val before = t(site)
+    t(site) = localCount + invPUsed - 1.0
+    est(counter) += t(site) - before
     msgs += reports
   }
 
@@ -131,16 +120,15 @@ final class Coordinator(
     msgs += reports
   }
 
-  /** Opens the slot of a counter that has had only p = 1 reports and
-    * writes its site terms, site s's being its local count `count(s)`;
-    * returns the slot.
+  /** Writes the site terms of a counter that has had only p = 1 reports,
+    * site s's being its local count `count(s)`.
     */
-  def settle(counter: Int, count: Int => Int): Int = {
-    require(slotOf(counter) < 0, s"counter $counter is already settled")
-    val s = open(counter)
+  def settle(counter: Int, count: Int => Int): Unit = {
+    require(terms(counter) == null, s"counter $counter is already settled")
+    val t = new Array[Double](k)
     var site = 0
-    while (site < k) { terms(s * k + site) = count(site); site += 1 }
-    s
+    while (site < k) { t(site) = count(site); site += 1 }
+    terms(counter) = t
   }
 
   /** The least integral estimate t ≥ 1 at which `pFor(counter)` is below
@@ -171,9 +159,6 @@ final class Coordinator(
 }
 
 object Coordinator {
-  /** Slots a coordinator's pool holds before it first doubles. */
-  val initialSlots = 64
-
   /** Variance-honoring reporting-probability scale (see class doc). */
   def theoryScale(k: Int): Double = math.sqrt(2.0 * k)
 }
@@ -195,12 +180,12 @@ object Coordinator {
   * estimate and the messages at once through `Coordinator.receiveExact`.
   * On the increment that brings the estimate to the limit, whose
   * acknowledgement is the first with p < 1, the bank `settle`s the counter,
-  * which opens its coordinator slot, and keeps its k sites' p in the same
-  * slot of a pool of its own (`slot·k + site`), all 1 but the reporting
-  * site's, which is the new p. From then on each increment takes the coin
-  * at the site's p. Every value is the one the protocol writes when it
-  * takes each increment at the site's p, so messages and estimates are the
-  * same bit for bit; a counter that never leaves holds no p and no terms.
+  * which writes its coordinator site terms, and keeps its k sites' p in a
+  * row of its own, all 1 but the reporting site's, which is the new p.
+  * From then on each increment takes the coin at the site's p. Every value
+  * is the one the protocol writes when it takes each increment at the
+  * site's p, so messages and estimates are the same bit for bit; a counter
+  * that never leaves holds no p and no terms.
   */
 final class DistCounterBank(
     numCounters: Int,
@@ -212,7 +197,7 @@ final class DistCounterBank(
 
   val coordinator = new Coordinator(numCounters, k, eps, pScale)
   private[counter] val local = new Array[Int](k * numCounters)
-  private var pSite = new Array[Double](k * Coordinator.initialSlots) // by coordinator slot
+  private val pSite = new Array[Array[Double]](numCounters) // by site; null while exact
   private val limit = new Array[Double](numCounters)
   for (c <- 0 until numCounters) limit(c) = coordinator.exactLimit(c)
 
@@ -226,8 +211,8 @@ final class DistCounterBank(
       if (!inExactRegime(counter)) leave(sites(i - 1), counter)
     }
     if (i < until) {
-      val pBase = coordinator.slot(counter) * k
-      while (i < until) { countSampled(sites(i), counter, pBase); i += 1 }
+      val p = pSite(counter)
+      while (i < until) { countSampled(sites(i), counter, p); i += 1 }
     }
   }
 
@@ -242,20 +227,21 @@ final class DistCounterBank(
     */
   private def leave(site: Int, counter: Int): Unit = {
     val base = counter * k
-    val pBase = coordinator.settle(counter, s => local(base + s)) * k
-    if (pBase + k > pSite.length) pSite = java.util.Arrays.copyOf(pSite, 2 * pSite.length)
-    java.util.Arrays.fill(pSite, pBase, pBase + k, 1.0)
-    pSite(pBase + site) = coordinator.pFor(counter)
+    coordinator.settle(counter, s => local(base + s))
+    val p = new Array[Double](k)
+    java.util.Arrays.fill(p, 1.0)
+    p(site) = coordinator.pFor(counter)
+    pSite(counter) = p
   }
 
-  /** Counts one increment at the site's p, kept at `pBase + site`. */
-  private def countSampled(site: Int, counter: Int, pBase: Int): Unit = {
+  /** Counts one increment at the site's p, kept in the counter's row `p`. */
+  private def countSampled(site: Int, counter: Int, p: Array[Double]): Unit = {
     checkSite(site)
     val j = counter * k + site
-    val p = pSite(pBase + site)
-    if (Site.increment(local, j, seed, site, numCounters, counter, p)) {
-      coordinator.receive(site, counter, local(j), 1.0 / p)
-      pSite(pBase + site) = coordinator.pFor(counter) // piggybacked ack
+    val pUsed = p(site)
+    if (Site.increment(local, j, seed, site, numCounters, counter, pUsed)) {
+      coordinator.receive(site, counter, local(j), 1.0 / pUsed)
+      p(site) = coordinator.pFor(counter) // piggybacked ack
     }
   }
 

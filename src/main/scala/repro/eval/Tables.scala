@@ -39,14 +39,15 @@ final case class DatasetResult(dataset: String, m: Long, k: Int, eps: Double,
   * one `DistCounterBank` per protocol seed; its metrics are medians over
   * `runs` seeds, as in the paper (median of five runs), and the median of
   * EXACTMLE's one run is that run. The banks of a call are all live at
-  * once (on MUNIN at k = 30, about 16.5 MB each while few counters leave
+  * once (on MUNIN at k = 30, about 17 MB each while few counters leave
   * the exact regime, 0.9 MB for the exact one), and the stream is sampled
   * once, a chunk at a time straight into the pass's variable-major block
   * (`ForwardSampler.source`), with no `Event` in between. The conditional
   * test events and the classification tests (sampled a block at a time
-  * too) each run on a thread of their own beside that pass; then each algorithm is evaluated on a thread of its
-  * own. The first failure, in the order test events, classification
-  * tests, pass, evaluation, is rethrown as it was raised. No Spark job
+  * too) each run on a thread of their own beside that pass; then each
+  * algorithm is evaluated on a thread of its own. The first failure, in
+  * the order test events, classification tests, pass, evaluation, is
+  * rethrown as it was raised. No Spark job
   * runs; `SuffStats` remains the Spark reference for the exact counts. The
   * deprecated overload that takes a `SparkSession` exists only for the
   * frozen benchmark (`perfbench`), which compiles against it.

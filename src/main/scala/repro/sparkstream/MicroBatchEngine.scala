@@ -40,7 +40,7 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], localCou
   * p drops below 1 in the fold leaves the regime there, and the driver
   * then `settle`s its site terms from the sites' arrays, which hold
   * exactly the counts last reported. Only such counters hold coordinator
-  * slots, and their reports go through `Coordinator.receive`.
+  * site terms, and their reports go through `Coordinator.receive`.
   *
   * Compared with the sequential driver, the only semantic difference is
   * that reporting probabilities refresh at batch boundaries instead of on

@@ -79,15 +79,16 @@ class CoordinatorSpec extends AnyFunSuite {
     co.receiveExact(1, 4)
     val e = intercept[IllegalStateException](co.receive(0, 1, 5, 2.0))
     assert(e.getMessage.contains("counter 1"))
-    assert(co.estimate(1) == 4.0 && co.messages == 4L && co.slot(1) == -1)
+    assert(co.estimate(1) == 4.0 && co.messages == 4L && !co.settled(1))
   }
 
   test("settle writes each site's count as its term; a later receive replaces one of them") {
     val co = coord()
     co.receiveExact(1, 6)
     val counts = Array(1, 2, 3)
-    assert(co.settle(1, counts(_)) == co.slot(1) && co.slot(1) >= 0)
-    assert(co.slot(0) == -1)
+    co.settle(1, counts(_))
+    assert(co.settled(1))
+    assert(!co.settled(0))
     co.receive(2, 1, 7, 2.0) // site 2's term goes from 3 to 7 + 2 − 1
     assert(co.estimate(1) == 11.0)
     val e = intercept[IllegalArgumentException](co.settle(1, counts(_)))
@@ -95,9 +96,9 @@ class CoordinatorSpec extends AnyFunSuite {
   }
 
   test("a receive of a counter with no report opens a zeroed slot") {
-    val co = coord(c = Coordinator.initialSlots + 3)
+    val co = coord(c = 4)
     (0 until co.numCounters).foreach(c => co.receive(c % co.k, c, 2, 1.0))
-    assert((0 until co.numCounters).map(co.slot).toSet == (0 until co.numCounters).toSet) // past the first pool
+    assert((0 until co.numCounters).forall(co.settled))
     assert((0 until co.numCounters).forall(co.estimate(_) == 2.0))
   }
 
@@ -361,10 +362,9 @@ class DistCounterBankSpec extends AnyFunSuite {
     assert(exact.nonEmpty && sampled.nonEmpty, s"${exact.size} exact, ${sampled.size} sampled")
     exact.foreach(c => assert(bank.coordinator.pFor(c) == 1.0, s"counter $c"))
     sampled.foreach(c => assert(bank.coordinator.pFor(c) < 1.0, s"counter $c"))
-    // Only the sampled counters hold slots, more than the pool first held.
-    exact.foreach(c => assert(bank.coordinator.slot(c) == -1, s"counter $c"))
-    assert(sampled.map(bank.coordinator.slot).sorted == sampled.indices)
-    assert(sampled.size > Coordinator.initialSlots, s"${sampled.size} sampled")
+    // Only the sampled counters hold site terms.
+    exact.foreach(c => assert(!bank.coordinator.settled(c), s"counter $c"))
+    sampled.foreach(c => assert(bank.coordinator.settled(c), s"counter $c"))
   }
 
   test("an increment past Int.MaxValue fails, naming the site and counter, and counts nothing") {
