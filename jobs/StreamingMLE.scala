@@ -1,5 +1,7 @@
 package repro.jobs
 
+import java.nio.file.{Files, Path}
+import java.util.Comparator
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.bn.{Event, ForwardSampler}
 import repro.core.EpsilonAllocation
@@ -30,29 +32,43 @@ object StreamingMLE {
         JobSession.k, JobSession.seed)
 
       implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-      val source = MemoryStream[Event]
-      val query = source.toDS().writeStream
-        .foreachBatch { (batch: org.apache.spark.sql.Dataset[Event], batchId: Long) =>
-          val msgs = engine.processBatch(spark, batch)
-          Console.err.println(s"[streaming-mle] batch=$batchId messages=$msgs total=${engine.messages}")
-        }
-        .start()
-      // Enqueue the stream in arrival-order chunks and let each one finish
-      // as its own micro-batch, so the sites learn the refreshed p between
-      // batches.
+      // Streaming queries run without adaptive execution; turning it off
+      // here, rather than having Spark disable it, keeps the log quiet.
+      spark.conf.set("spark.sql.adaptive.enabled", "false")
+      val checkpoints = Files.createTempDirectory("streaming-mle-checkpoints")
       try {
-        val m = JobSession.m
-        ForwardSampler.localEvents(net, m, JobSession.k, JobSession.seed)
-          .grouped(math.max(1L, m / 20).toInt)
-          .foreach { chunk =>
-            source.addData(chunk)
-            query.processAllAvailable()
+        val source = MemoryStream[Event]
+        val query = source.toDS().writeStream
+          .option("checkpointLocation", checkpoints.toString)
+          .foreachBatch { (batch: org.apache.spark.sql.Dataset[Event], batchId: Long) =>
+            val msgs = engine.processBatch(spark, batch)
+            Console.err.println(s"[streaming-mle] batch=$batchId messages=$msgs total=${engine.messages}")
           }
-      } finally query.stop()
+          .start()
+        // Enqueue the stream in arrival-order chunks and let each one finish
+        // as its own micro-batch, so the sites learn the refreshed p between
+        // batches.
+        try {
+          val m = JobSession.m
+          ForwardSampler.localEvents(net, m, JobSession.k, JobSession.seed)
+            .grouped(math.max(1L, m / 20).toInt)
+            .foreach { chunk =>
+              source.addData(chunk)
+              query.processAllAvailable()
+            }
+        } finally query.stop()
+      } finally deleteTree(checkpoints)
 
       val queries = TestQueries.condQueries(net, JobSession.nTests, 0.01, JobSession.seed)
       println(s"events=${engine.eventsProcessed} messages=${engine.messages} " +
         f"relErrVsTruth=${Metrics.relErrVsTruth(engine.model, queries)}%.4f")
     } finally spark.stop()
+  }
+
+  /** Deletes `root` and everything under it. */
+  private def deleteTree(root: Path): Unit = {
+    val paths = Files.walk(root)
+    try paths.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
+    finally paths.close()
   }
 }

@@ -6,7 +6,10 @@ import repro.util.Rng
   * HYZ counter). A site's state is its local counts, one `Int` per counter,
   * held in a plain array by each engine: counter-major at
   * `counter·k + site` in the sequential `DistCounterBank`, one array per
-  * site in the micro-batch engine. Both count through `increment`.
+  * site in the micro-batch engine. The sequential bank counts every
+  * increment through `increment`; the micro-batch engine counts the
+  * increments of counters with p < 1 through it, and adds those of
+  * counters at p = 1, which draw no coin, to its arrays at the driver.
   */
 object Site {
 
@@ -24,9 +27,14 @@ object Site {
   def increment(local: Array[Int], j: Int, seed: Long, site: Int, numCounters: Int,
                 counter: Int, p: Double): Boolean = {
     val n = local(j)
-    if (n == Int.MaxValue)
-      throw new ArithmeticException(s"site $site counter $counter: local count overflows Int.MaxValue")
+    if (n == Int.MaxValue) overflow(site, counter)
     local(j) = n + 1
     p >= 1.0 || Rng.uniform(seed, site.toLong * numCounters + counter, n + 1L) < p
   }
+
+  /** Fails because the local count of `counter` at `site` would pass
+    * `Int.MaxValue`.
+    */
+  def overflow(site: Int, counter: Int): Nothing =
+    throw new ArithmeticException(s"site $site counter $counter: local count overflows Int.MaxValue")
 }

@@ -153,7 +153,7 @@ class MicroBatchEngineSpec extends SparkSpec {
     assert(pass(EpsilonAllocation.NonUniform(0.3, net)) == ((36441L, 1581929970)))
   }
 
-  test("after a pass only the counters whose p dropped below 1 hold slots, past the pool's first size") {
+  test("after a pass only the counters whose p dropped below 1 hold site terms") {
     val net = TestNets.random20
     val layout = CounterLayout.standard(net)
     val events = ForwardSampler.events(spark, net, 3000L, 30, seed = 7L)
@@ -166,6 +166,34 @@ class MicroBatchEngineSpec extends SparkSpec {
       assert(co.settled(c) == (co.pFor(c) < 1.0), s"counter $c")
     }
     assert((0 until layout.numCounters).exists(co.settled))
+  }
+
+  test("a batch's view holds exactly the counters with p below 1 at batch start, with their p and local counts") {
+    val net = TestNets.random20
+    val layout = CounterLayout.standard(net)
+    val events = ForwardSampler.events(spark, net, 3000L, 30, seed = 7L)
+    def check(e: MicroBatchEngine): MicroBatchEngine.View = {
+      val p = e.published()
+      val v = e.view(p)
+      val sampled = (0 until layout.numCounters).filter(c => e.coordinator.pFor(c) < 1.0)
+      assert(v.counters.toSeq == sampled)
+      assert(v.p.toSeq == sampled.map(p))
+      (0 until e.k).foreach { s =>
+        sampled.indices.foreach(i => assert(v.local(s * sampled.size + i) == e.sites(s)(sampled(i)), s"site $s"))
+      }
+      v
+    }
+    val exact = new MicroBatchEngine(net, layout, EpsilonAllocation.Baseline(1e-6, net.n), 30, 7L, 0.05)
+    val sampling = new MicroBatchEngine(net, layout, EpsilonAllocation.Uniform(0.1, net.n), 30, 7L, 0.05)
+    (0L until 3000L by 1000L).foreach { lo =>
+      val batch = events.filter(ev => ev.id >= lo && ev.id < lo + 1000L)
+      assert(check(exact).counters.isEmpty)
+      check(sampling)
+      exact.processBatch(spark, batch)
+      sampling.processBatch(spark, batch)
+    }
+    assert(check(exact).counters.isEmpty)
+    assert(check(sampling).counters.nonEmpty)
   }
 
   test("a batch and the same batch repartitioned give identical messages and estimates") {
@@ -230,6 +258,21 @@ class MicroBatchEngineSpec extends SparkSpec {
     assert(e.getMessage.contains(s"site $k outside [0, $k)"))
     assert(engine.messages == 0L && engine.eventsProcessed == 0L)
     assert(engine.processBatch(spark, batchOf(Event(0L, 1, Array(0, 1, 1)))) == layout.updatesPerEvent)
+  }
+
+  test("rejects a batch that would push an exact counter's local count past Int.MaxValue, before any state changes") {
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 24L)
+    val x = Array(0, 1, 1)
+    engine.processBatch(spark, batchOf(Event(0L, 0, x), Event(1L, 1, x)))
+    val (msgs, events, est) = (engine.messages, engine.eventsProcessed, estimates(engine))
+    var c = -1
+    layout.foreachUpdate(x)(u => if (c < 0) c = u)
+    engine.sites(2)(c) = Int.MaxValue - 1
+    val bad = batchOf(Event(2L, 0, x), Event(3L, 2, x), Event(4L, 2, x), Event(5L, 3, x))
+    val e = intercept[ArithmeticException](engine.processBatch(spark, bad))
+    assert(e.getMessage == s"site 2 counter $c: local count overflows Int.MaxValue")
+    assert(engine.messages == msgs && engine.eventsProcessed == events && estimates(engine) == est)
+    assert(engine.sites(2)(c) == Int.MaxValue - 1 && engine.sites(0)(c) == 1)
   }
 
   /** Messages of an exception and of its causes: a site task's failure
