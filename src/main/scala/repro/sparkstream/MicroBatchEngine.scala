@@ -1,8 +1,9 @@
 package repro.sparkstream
 
 import java.util.Arrays
-import org.apache.spark.{HashPartitioner, SparkContext}
+import org.apache.spark.{HashPartitioner, SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.ShuffledRDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.bn.{BayesianNetwork, Event, EventSource}
 import repro.core.{BNModel, EpsilonAllocation}
@@ -27,10 +28,15 @@ final case class SiteRow(site: Int, events: Long, counters: Array[Int], incremen
   * of its state. The counter layout is broadcast once per engine and
   * `SparkContext`.
   *
-  * A batch's events are hash-partitioned by site into
-  * min(k, defaultParallelism) RDD tasks, which adaptive query execution
-  * cannot coalesce; a task groups its events by site and runs one site
-  * task per site. A site task reads its events into one variable-major
+  * A batch is one Spark job with one shuffle. Its events are keyed by
+  * site and hash-partitioned into min(k, defaultParallelism) tasks of a
+  * `ShuffledRDD`, which adaptive query execution cannot coalesce; each task
+  * groups its events by site, runs one site task per site, and hands its
+  * rows to `SparkContext.runJob`. The functions passed to Spark are named
+  * classes, not lambdas, and the job is built without `keyBy`, `values` or
+  * `collect`: for each lambda, Spark's `ClosureCleaner` reads and parses
+  * the class file of the class that declares it, a few milliseconds a
+  * call. A site task reads its events into one variable-major
   * block (`EventSource`), takes their ids from `CounterLayout.blockUpdates`
   * as the sequential pass does, and counts the increments of each counter.
   * For a sampled counter it then runs `Site.increment` that many times from
@@ -87,24 +93,12 @@ final class MicroBatchEngine(
     val before = coordinator.messages
     val p = published()
     val bcView = sc.broadcast(view(p))
-    val bcLayout = layoutOn(sc)
-    val (seed, k) = (this.seed, this.k) // locals, so the site tasks do not capture the engine
-
-    val rows = batch.rdd
-      .keyBy(_.site)
-      .partitionBy(new HashPartitioner(math.min(k, sc.defaultParallelism)))
-      .values
-      .mapPartitions { events =>
-        events.toArray.groupBy(_.site).iterator.map { case (site, group) =>
-          // A site outside [0, k) comes back empty; the driver rejects it.
-          if (site < 0 || site >= k) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
-          else MicroBatchEngine.siteTask(bcLayout.value, site, k, seed, bcView.value, group)
-        }
-      }
-      .collect()
-      .sortBy(_.site)
-
-    bcView.destroy()
+    val rows =
+      try {
+        val bySite = new ShuffledRDD[Int, Event, Event](batch.rdd.mapPartitions(new MicroBatchEngine.KeyBySite),
+          new HashPartitioner(math.min(k, sc.defaultParallelism)))
+        sc.runJob(bySite, new MicroBatchEngine.SiteTasks(layoutOn(sc), bcView, k, seed)).flatten.sortBy(_.site)
+      } finally bcView.destroy()
 
     rows.foreach { r =>
       require(r.site >= 0 && r.site < k, s"site ${r.site} outside [0, $k)")
@@ -142,16 +136,25 @@ final class MicroBatchEngine(
 
   /** The view of a batch published with `p`. */
   private[sparkstream] def view(p: Array[Double]): MicroBatchEngine.View = {
-    val counters = Array.range(0, p.length).filter(c => p(c) < 1.0)
-    val n = counters.length
+    var n = 0
+    var c = 0
+    while (c < p.length) { if (p(c) < 1.0) n += 1; c += 1 }
+    val counters = new Array[Int](n)
+    val sampledP = new Array[Double](n)
+    var i = 0
+    c = 0
+    while (i < n) {
+      if (p(c) < 1.0) { counters(i) = c; sampledP(i) = p(c); i += 1 }
+      c += 1
+    }
     val local = new Array[Int](k * n)
     var site = 0
     while (site < k) {
-      var i = 0
+      i = 0
       while (i < n) { local(site * n + i) = sites(site)(counters(i)); i += 1 }
       site += 1
     }
-    MicroBatchEngine.View(counters, counters.map(p), local)
+    MicroBatchEngine.View(counters, sampledP, local)
   }
 
   /** The layout's broadcast on `sc`, made on the first batch there. */
@@ -188,8 +191,30 @@ object MicroBatchEngine {
     */
   final case class View(counters: Array[Int], p: Array[Double], local: Array[Int])
 
+  /** Keys each event by its site, for the shuffle. A named class, not a
+    * lambda: Spark's `ClosureCleaner` returns at once for it, where it
+    * would read and parse the class file of the lambda's enclosing class.
+    */
+  private final class KeyBySite extends (Iterator[Event] => Iterator[(Int, Event)]) with Serializable {
+    def apply(events: Iterator[Event]): Iterator[(Int, Event)] = events.map(e => (e.site, e))
+  }
+
+  /** The site tasks of one shuffle partition: groups its events by site and
+    * runs one site task per site. A site outside [0, k) gets an empty row,
+    * which the driver rejects. A named class, as `KeyBySite` is.
+    */
+  private final class SiteTasks(layout: Broadcast[CounterLayout], view: Broadcast[View], k: Int, seed: Long)
+      extends ((TaskContext, Iterator[(Int, Event)]) => Array[SiteRow]) with Serializable {
+    def apply(context: TaskContext, pairs: Iterator[(Int, Event)]): Array[SiteRow] =
+      pairs.map(_._2).toArray.groupBy(_.site).iterator.map { case (site, group) =>
+        if (site < 0 || site >= k) SiteRow(site, 0L, Array.empty, Array.empty, Array.empty, Array.empty)
+        else siteTask(layout.value, site, k, seed, view.value, group)
+      }.toArray
+  }
+
   /** One site's batch: counts each touched counter's increments and runs a
-    * sampled counter's coins from its local count in `view`.
+    * sampled counter's coins from its local count in `view`. The row lists
+    * the touched counters sampled first, each part in ascending order.
     */
   private def siteTask(layout: CounterLayout, site: Int, k: Int, seed: Long, view: View,
                        group: Array[Event]): SiteRow = {
@@ -199,36 +224,51 @@ object MicroBatchEngine {
     val ids = new Array[Int](count * layout.updatesPerEvent)
     layout.blockUpdates(block, count, ids)
     val increments = new Array[Int](layout.numCounters)
-    val touched = Array.newBuilder[Int]
-    ids.foreach { c =>
-      if (increments(c) == 0) touched += c
+    var touched = 0
+    var i = 0
+    while (i < ids.length) {
+      val c = ids(i)
+      if (increments(c) == 0) touched += 1
       increments(c) += 1
+      i += 1
     }
-    val (sampled, exact) = (Array.newBuilder[Int], Array.newBuilder[Int])
-    val (reported, reports) = (Array.newBuilder[Int], Array.newBuilder[Int])
-    val local = new Array[Int](1)
+    val counters = new Array[Int](touched)
+    val counts = new Array[Int](touched)
     val n = view.counters.length
-    touched.result().foreach { c =>
-      val i = Arrays.binarySearch(view.counters, c)
-      if (i < 0) exact += c
-      else {
+    val reported = new Array[Int](math.min(n, touched))
+    val reports = new Array[Int](reported.length)
+    val local = new Array[Int](1)
+    var sampled = 0
+    i = 0
+    while (i < n) {
+      val c = view.counters(i)
+      if (increments(c) > 0) {
         local(0) = view.local(site * n + i)
-        var last = 0
-        var sent = 0
         var left = increments(c)
         while (left > 0) {
           if (Site.increment(local, 0, seed, site, layout.numCounters, c, view.p(i))) {
-            last = local(0)
-            sent += 1
+            reported(sampled) = local(0)
+            reports(sampled) += 1
           }
           left -= 1
         }
-        sampled += c
-        reported += last
-        reports += sent
+        counters(sampled) = c
+        counts(sampled) = increments(c)
+        increments(c) = 0 // counted, so the scan below skips it
+        sampled += 1
       }
+      i += 1
     }
-    val counters = sampled.result() ++ exact.result()
-    SiteRow(site, count, counters, counters.map(increments), reported.result(), reports.result())
+    var next = sampled
+    var c = 0
+    while (next < touched) {
+      if (increments(c) > 0) {
+        counters(next) = c
+        counts(next) = increments(c)
+        next += 1
+      }
+      c += 1
+    }
+    SiteRow(site, count, counters, counts, Arrays.copyOf(reported, sampled), Arrays.copyOf(reports, sampled))
   }
 }

@@ -1,7 +1,10 @@
 package repro.sparkstream
 
+import scala.collection.mutable
 import org.apache.spark.JobExecutionStatus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated}
 import org.apache.spark.sql.Dataset
+import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually.eventually
 import org.scalatest.concurrent.PatienceConfiguration.Timeout
 import org.scalatest.time.{Seconds, Span}
@@ -245,6 +248,42 @@ class MicroBatchEngineSpec extends SparkSpec {
     assert(siteTasks == math.min(k, sc.defaultParallelism))
   }
 
+  test("a batch runs as one Spark job of two stages: one shuffle-map stage and one result stage") {
+    val sc = spark.sparkContext
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 25L)
+    val batch = batchOf((0 until 40).map(i => Event(i.toLong, i % k, Array(0, 1, 1))): _*)
+    val group = "micro-batch-job-shape"
+    sc.setJobGroup(group, "one micro-batch")
+    try engine.processBatch(spark, batch) finally sc.clearJobGroup()
+    // A job has one result stage, its last; every other stage is a shuffle-map
+    // stage. The status store lags the job, so every check waits for it.
+    eventually(Timeout(Span(30, Seconds))) {
+      val jobs = sc.statusTracker.getJobIdsForGroup(group)
+      assert(jobs.length == 1, s"jobs ${jobs.mkString(", ")}")
+      val job = sc.statusTracker.getJobInfo(jobs.head).get
+      assert(job.status == JobExecutionStatus.SUCCEEDED)
+      val stages = job.stageIds.sorted.map(id => sc.statusTracker.getStageInfo(id).get)
+      assert(stages.length == 2, s"stages ${job.stageIds.mkString(", ")}")
+      assert(stages.last.numTasks == math.min(k, sc.defaultParallelism))
+    }
+  }
+
+  test("a batch rejected in its site tasks leaves no block of its view stored") {
+    val sc = spark.sparkContext
+    val engine = MicroBatchEngine(net, layout, exactish, k, seed = 26L)
+    engine.processBatch(spark, batchOf(Event(0L, 0, Array(0, 1, 1)))) // broadcasts the layout
+    val blocks = new BroadcastBlocks
+    sc.addSparkListener(blocks)
+    try {
+      intercept[Exception](engine.processBatch(spark, batchOf(Event(1L, 0, Array(0, 3, 1)))))
+      // The view is the batch's first broadcast; the others hold its stages' tasks.
+      eventually(Timeout(Span(30, Seconds))) {
+        val (put, removed) = blocks.snapshot
+        assert(put.nonEmpty && removed.contains(put.min), s"put $put, removed $removed")
+      }
+    } finally sc.removeSparkListener(blocks)
+  }
+
   private def batchOf(events: Event*): Dataset[Event] = {
     val session = spark
     import session.implicits._
@@ -292,4 +331,22 @@ class MicroBatchEngineSpec extends SparkSpec {
     val e = intercept[Exception](engine.processBatch(spark, batchOf(Event(0L, 0, Array(0, 3, 1)))))
     assert(messages(e).contains("x(1) = 3 outside [0, 3)"))
   }
+}
+
+/** The ids of the broadcasts whose blocks were put, and of those whose
+  * blocks were removed, while it listened.
+  */
+private final class BroadcastBlocks extends SparkListener {
+  private val put = mutable.Set.empty[Long]
+  private val removed = mutable.Set.empty[Long]
+
+  override def onBlockUpdated(e: SparkListenerBlockUpdated): Unit = synchronized {
+    val info = e.blockUpdatedInfo
+    info.blockId match {
+      case b: BroadcastBlockId => (if (info.storageLevel.isValid) put else removed) += b.broadcastId
+      case _ =>
+    }
+  }
+
+  def snapshot: (Set[Long], Set[Long]) = synchronized((put.toSet, removed.toSet))
 }
